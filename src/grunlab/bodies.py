@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -925,20 +926,6 @@ def centroid(body):
 # geometric theorem verifiers
 # ---------------------------------------------------------------------------
 
-def _normal_upper_quantile(tail):
-    """z with P(Z > z) = tail for standard normal Z, by bisection on erfc."""
-    import math as _m
-
-    lo, hi = 0.0, 12.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * _m.erfc(mid / _m.sqrt(2.0)) > tail:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def _mc_concavity_ok(profile, sigma, p):
     """Noise-aware p-concavity test for binned profiles.
 
@@ -958,7 +945,7 @@ def _mc_concavity_ok(profile, sigma, p):
     chord = 0.5 * (g[:-2] + g[2:])
     noise = np.sqrt(gs[1:-1] ** 2 + 0.25 * gs[:-2] ** 2 + 0.25 * gs[2:] ** 2)
     single_3sigma_tail = 0.0013498980316300933
-    z = max(3.0, _normal_upper_quantile(single_3sigma_tail / (t.size - 2)))
+    z = max(3.0, -statistics.NormalDist().inv_cdf(single_3sigma_tail / (t.size - 2)))
     viol = chord - mid - z * noise
     worst = float(viol.max())
     return worst <= 0.0, worst

@@ -21,6 +21,7 @@ off in closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,16 +62,20 @@ class SharpBound:
             raise ParameterError(f"unknown regime {self.regime!r}")
 
 
+def _check_exponent(name, value):
+    """Raise ParameterError unless value is a finite, non-negative exponent."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ParameterError(f"{name} must be finite and non-negative, got {value}")
+
+
 def functional_bound(alpha, beta):
     """Sharp lower bound for the tail-mass ratio of a concave profile.
 
     Accepts beta = 0 as the continuous limit (value 1/(alpha+2)); the two
     branch expressions coincide at alpha = beta.
     """
-    if alpha < 0.0:
-        raise ParameterError(f"alpha must be non-negative, got {alpha}")
-    if beta < 0.0:
-        raise ParameterError(f"beta must be non-negative, got {beta}")
+    _check_exponent("alpha", alpha)
+    _check_exponent("beta", beta)
     lo = min((beta + 1.0) / (alpha + 2.0), (alpha + 1.0) / (alpha + 2.0))
     regime = "beta_le_alpha" if beta <= alpha else "alpha_le_beta"
     return SharpBound(lo ** (beta + 1.0), regime, {"alpha": alpha, "beta": beta})
@@ -78,8 +83,7 @@ def functional_bound(alpha, beta):
 
 def functional_root_limit(alpha):
     """beta -> infinity limit of functional_bound(alpha, beta)^(1/beta)."""
-    if alpha < 0.0:
-        raise ParameterError(f"alpha must be non-negative, got {alpha}")
+    _check_exponent("alpha", alpha)
     return (alpha + 1.0) / (alpha + 2.0)
 
 

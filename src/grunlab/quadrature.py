@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,10 +84,4 @@ def unit_ball_volume(n):
     """Lebesgue volume of the Euclidean unit ball in R^n (n >= 0)."""
     if n < 0:
         raise ParameterError("dimension must be non-negative")
-    return float(np.pi ** (n / 2.0) / _gamma(n / 2.0 + 1.0))
-
-
-def _gamma(x):
-    import math
-
-    return math.gamma(x)
+    return float(np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0))

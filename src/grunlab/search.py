@@ -8,8 +8,13 @@ over concave piecewise-linear profiles on [0, 1] with max ordinate 1 (both
 normalizations leave R invariant). The optimizer is deliberately simple:
 seeded multi-restart coordinate descent on the ordinates, with re-sorting of
 the slope sequence as the concavity projection. Determinism: a fixed seed
-fixes the entire trajectory; restarts and sweep cells use independently
+fixes the entire trajectory; restarts and sweep trials use independently
 derived generators.
+
+Every ratio comes from one segment kernel applied to a (B, m) stack of
+profiles: the restarts of a search move in lockstep as one stack, and a sweep
+cell evaluates all of its trials in one call. A stacked row gives bitwise the
+same ratio as the same row alone.
 """
 
 from __future__ import annotations
@@ -17,96 +22,249 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .bounds import functional_bound
+from .bounds import _check_exponent, functional_bound
 from .errors import ParameterError
-from .profiles import ConcaveProfile
+from .profiles import CONCAVITY_TOL, ConcaveProfile
 
-_MIN_GAP = 1e-3  # minimum abscissa spacing in random profiles
+_MIN_GAP = 1e-3  # minimum abscissa spacing in random profiles, relative to the domain
+
+# A segment whose relative change d = (hb - ha) / (ha + hb) has
+# |d| (e + 2) <= _SERIES_CUT is integrated by its midpoint series in d.
+_SERIES_CUT = 0.05
+_R_MAX = 1.0 - 2.0 ** -53  # keeps log1p finite on segments that reach zero
+
+
+# ---------------------------------------------------------------------------
+# random concave profiles
+# ---------------------------------------------------------------------------
+
+def _check_draw(m, domain):
+    if m < 3:
+        raise ParameterError(f"need at least 3 breakpoints, got {m}")
+    if (m - 1) * _MIN_GAP > 1.0:
+        raise ParameterError(f"at most {round(1.0 / _MIN_GAP) + 1} breakpoints fit "
+                             f"the minimum gap {_MIN_GAP}, got {m}")
+    a, b = float(domain[0]), float(domain[1])
+    if not b > a:
+        raise ParameterError("domain must have positive length")
+    return a, b
+
+
+def _gaps(rng, n):
+    """n abscissa gaps summing to 1, each at least _MIN_GAP.
+
+    The law is that of the endpoints plus the m - 2 middle order statistics
+    of m = n + 1 uniforms, conditioned on every gap >= _MIN_GAP. Unconditioned
+    those gaps are Dirichlet(2, 1, ..., 1, 2). Writing gap = g + f y with
+    g = _MIN_GAP and f = 1 - n g, the conditioned y has density proportional
+    to (g + f y_0)(g + f y_last) on the simplex: a mixture of the Dirichlet
+    laws with 1 or 2 at either end, weighted g^2 n (n+1), g f (n+1),
+    g f (n+1) and f^2. A Gamma(2) draw is the sum of two exponential ones.
+    """
+    g = _MIN_GAP
+    free = 1.0 - n * g
+    end = g * free * (n + 1)
+    weights = np.cumsum([g * g * n * (n + 1), end, end, free * free])
+    part = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
+    y = rng.standard_exponential(n + 2)
+    gaps = y[:n]
+    gaps[0] += y[n] * (part in (1, 3))
+    gaps[-1] += y[n + 1] * (part >= 2)
+    return g + free * gaps / gaps.sum()
+
+
+def _draw(rng, m, a, b):
+    """One profile's random draws, in the generator's order: abscissas,
+    slopes, and the lift (0 when the minimum stays at zero)."""
+    ts = np.empty(m)
+    ts[0] = 0.0
+    np.cumsum(_gaps(rng, m - 1), out=ts[1:])
+    ts = a + (b - a) * ts
+    ts[-1] = b
+    slopes = rng.normal(0.0, 2.0 / (b - a), m - 1)
+    lift = rng.uniform(0.05, 0.5) if rng.random() < 0.5 else 0.0
+    return ts, slopes, lift
+
+
+def _random_stack(seeds, m, domain=(0.0, 1.0)):
+    """Abscissas and ordinates, each (B, m), of random_concave(seed, m, domain)
+    for every seed; the ordinates are built for the whole stack at once."""
+    a, b = _check_draw(m, domain)
+    n = len(seeds)
+    ts, slopes, lift = np.empty((n, m)), np.empty((n, m - 1)), np.empty(n)
+    for k, seed in enumerate(seeds):
+        ts[k], slopes[k], lift[k] = _draw(np.random.default_rng(seed), m, a, b)
+    # strictly decreasing slopes, even under ties
+    slopes = np.sort(slopes, axis=1)[:, ::-1] - np.arange(m - 1) * 1e-9
+    hs = np.zeros(ts.shape)
+    np.cumsum(slopes * np.diff(ts, axis=1), axis=1, out=hs[:, 1:])
+    hs -= hs.min(axis=1, keepdims=True)
+    hs += (lift * np.maximum(hs.max(axis=1), 1e-12))[:, None]
+    hs /= hs.max(axis=1, keepdims=True)
+    return ts, hs
 
 
 def random_concave(seed, m, domain=(0.0, 1.0)):
     """Draw a random concave profile with m breakpoints, valid by construction.
 
-    Ordinates come from a strictly decreasing random slope sequence (sorted
-    normal draws), shifted nonnegative and scaled to max 1; with probability
-    1/2 the minimum stays at an endpoint zero, otherwise the profile is
-    lifted. The same seed always returns the same profile.
+    Abscissas are sorted uniforms with the endpoints pinned and every gap at
+    least _MIN_GAP of the domain, drawn directly (m <= 1001). Ordinates come
+    from a strictly decreasing random slope sequence (sorted normal draws),
+    shifted nonnegative and scaled to max 1; with probability 1/2 the minimum
+    stays at an endpoint zero, otherwise the profile is lifted. The same seed
+    always returns the same profile.
     """
-    if m < 3:
-        raise ParameterError(f"need at least 3 breakpoints, got {m}")
-    a, b = float(domain[0]), float(domain[1])
-    if not b > a:
-        raise ParameterError("domain must have positive length")
-    rng = np.random.default_rng(seed)
-    while True:
-        ts = np.sort(rng.uniform(a, b, m))
-        ts[0], ts[-1] = a, b
-        if np.all(np.diff(ts) >= _MIN_GAP * (b - a)):
-            break
-    slopes = np.sort(rng.normal(0.0, 2.0 / (b - a), m - 1))[::-1]
-    slopes -= np.arange(m - 1) * 1e-9  # strict decrease even under ties
-    hs = np.concatenate([[0.0], np.cumsum(slopes * np.diff(ts))])
-    hs -= hs.min()
-    if rng.random() < 0.5:
-        hs += rng.uniform(0.05, 0.5) * max(hs.max(), 1e-12)
-    hs /= hs.max()
-    return ConcaveProfile(np.column_stack([ts, hs]))
+    ts, hs = _random_stack([seed], m, domain)
+    return ConcaveProfile(np.column_stack([ts[0], hs[0]]))
+
+
+def _check_concave_rows(ts, hs):
+    """Raise what ConcaveProfile raises for the first row it would reject.
+
+    The vectorized test flags every row that may break an invariant (order,
+    sign, concavity, interior positivity, positive mass; for nonnegative
+    ordinates the trapezoid mass is positive exactly when the exact one is);
+    the constructor then decides on the flagged rows alone.
+    """
+    dt = np.diff(ts, axis=1)
+    slopes = np.diff(hs, axis=1) / dt
+    scale = np.maximum(hs.max(axis=1), 1.0) / np.maximum(ts[:, -1] - ts[:, 0], 1e-300)
+    bad = (~np.isfinite(ts).all(axis=1) | ~np.isfinite(hs).all(axis=1)
+           | (dt <= 0.0).any(axis=1) | (hs < 0.0).any(axis=1)
+           | (np.diff(slopes, axis=1)
+              > CONCAVITY_TOL * np.maximum(scale, 1.0)[:, None]).any(axis=1)
+           | (hs[:, 1:-1] <= 0.0).any(axis=1)
+           | ~(((hs[:, :-1] + hs[:, 1:]) * dt).sum(axis=1) > 0.0))
+    for k in np.flatnonzero(bad):
+        ConcaveProfile(np.column_stack([ts[k], hs[k]]))
 
 
 # ---------------------------------------------------------------------------
-# fast objective on a fixed uniform grid
+# the segment kernel on (B, m) stacks of piecewise-linear profiles
 # ---------------------------------------------------------------------------
 
-def _masses(ts, hs, expo):
-    """(total integral of h^expo, total moment of t h^expo), exact, vectorized."""
-    dt = np.diff(ts)
-    ha, hb = hs[:-1], hs[1:]
+def _horner(coeffs, x):
+    acc = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        acc = acc * x + c
+    return acc
+
+
+@lru_cache(maxsize=64)
+def _series(e):
+    """Midpoint-series coefficients in d^2, highest power first: C(e, k) / (k + 1)
+    for even k <= 6 (mass) and C(e, k) / (k + 2) for odd k <= 7 (moment)."""
+    binom = [1.0]
+    for k in range(1, 8):
+        binom.append(binom[-1] * (e - k + 1) / k)
+    return (tuple(binom[k] / (k + 1) for k in (6, 4, 2, 0)),
+            tuple(binom[k] / (k + 2) for k in (7, 5, 3, 1)))
+
+
+def _segments(ha, hb, dt, e, moment):
+    """int h^e and int (t - t_mid) h^e over affine segments, elementwise.
+
+    h runs from ha to hb over a width dt and t_mid is the segment's midpoint;
+    the centred moment is None unless moment is set. With s = (ha + hb) / 2
+    and d = (hb - ha) / (ha + hb), a segment with |d| (e + 2) <= _SERIES_CUT
+    uses the midpoint series
+
+        mass    = dt s^e          sum_{k even} C(e, k) d^k / (k + 1)
+        centred = dt^2 s^e / 2    sum_{k odd}  C(e, k) d^k / (k + 2)
+
+    through d^7; there the closed form cancels. For e <= 100 the first
+    omitted terms stay below 1.2e-16 of the mass and 5e-15 of the centred
+    moment. Other segments use the closed form written in
+    r = |hb - ha| / max(ha, hb) with log1p and expm1, which keeps it accurate
+    down to the cut and on segments that reach zero.
+    """
+    s2 = ha + hb
     dh = hb - ha
-    flat = np.abs(dh) <= 1e-9 * (ha + hb)
-    safe = np.where(flat, 1.0, dh)
-    p1 = (hb ** (expo + 1.0) - ha ** (expo + 1.0)) / (expo + 1.0)
-    p2 = (hb ** (expo + 2.0) - ha ** (expo + 2.0)) / (expo + 2.0)
-    mid = 0.5 * (ha + hb)
-    mass = np.where(flat, mid ** expo * dt, p1 * dt / safe)
-    mom = np.where(flat, mid ** expo * 0.5 * (ts[1:] ** 2 - ts[:-1] ** 2),
-                   (ts[:-1] - ha * dt / safe) * p1 * dt / safe + p2 * (dt / safe) ** 2)
-    return mass.sum(), mom.sum()
+    d = dh / np.where(s2 > 0.0, s2, 1.0)
+    near = np.abs(d) * (e + 2.0) <= _SERIES_CUT
+    even, odd = _series(e)
+    d2 = d * d
+    mid_e = (0.5 * s2) ** e
+    hi = np.maximum(ha, hb)
+    r = np.where(near, 0.5, np.abs(dh) / np.where(near, 1.0, hi))
+    log_ratio = np.log1p(-np.minimum(r, _R_MAX))  # log(min(ha, hb) / max(ha, hb))
+    hi_e = hi ** e
+    g1 = -np.expm1((e + 1.0) * log_ratio) / ((e + 1.0) * r)
+    mass = dt * np.where(near, mid_e * _horner(even, d2), hi_e * g1)
+    if not moment:
+        return mass, None
+    # int (t - t_mid) h^e = (dt / dh) (int h^(e+1) - s int h^e)
+    g2 = -np.expm1((e + 2.0) * log_ratio) / ((e + 2.0) * r)
+    closed = np.copysign(hi_e * (g2 - (1.0 - 0.5 * r) * g1) / r, dh)
+    centred = dt * dt * np.where(near, 0.5 * mid_e * d * _horner(odd, d2), closed)
+    return mass, centred
 
 
-def _tail_from(ts, hs, beta, cut):
-    i = int(np.searchsorted(ts, cut, side="right")) - 1
-    i = min(max(i, 0), ts.size - 2)
-    slope = (hs[i + 1] - hs[i]) / (ts[i + 1] - ts[i])
-    hcut = hs[i] + slope * (cut - ts[i])
-    seg_ts = np.concatenate([[cut], ts[i + 1:]])
-    seg_hs = np.concatenate([[hcut], hs[i + 1:]])
-    mass, _ = _masses(seg_ts, seg_hs, beta)
-    return mass
+def _mass_moment(ts, hs, e):
+    """Row-wise int h^e and int t h^e; hs is (B, m), ts is (m,) or (B, m)."""
+    mass, centred = _segments(hs[:, :-1], hs[:, 1:], ts[..., 1:] - ts[..., :-1], e, True)
+    mid = 0.5 * (ts[..., :-1] + ts[..., 1:])
+    return mass.sum(axis=1), (mid * mass + centred).sum(axis=1)
+
+
+def _mass_tail(ts, hs, e, cut):
+    """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain."""
+    rows, m = np.arange(hs.shape[0]), hs.shape[1]
+    ts = np.broadcast_to(ts, hs.shape)
+    i = (ts[:, 1:-1] <= cut[:, None]).sum(axis=1)  # the segment holding the cut
+    t0, t1, h0, h1 = ts[rows, i], ts[rows, i + 1], hs[rows, i], hs[rows, i + 1]
+    hcut = h0 + (h1 - h0) / (t1 - t0) * (cut - t0)
+    # the m - 1 segments and, as one more column, [cut, t1]
+    ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
+    ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
+    hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
+    dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
+    seg, _ = _segments(ha, hb, dt, e, False)
+    full = seg[:, :-1]
+    after = np.arange(m - 1) > i[:, None]
+    return full.sum(axis=1), np.where(after, full, 0.0).sum(axis=1) + seg[:, -1]
+
+
+def _tail_ratios(ts, hs, alpha, beta):
+    """Tail-mass ratios of a (B, m) stack of profiles; ts is (m,) or (B, m)."""
+    mass, moment = _mass_moment(ts, hs, alpha)
+    cut = np.clip(moment / mass, ts[..., 0], ts[..., -1])
+    total, tail = _mass_tail(ts, hs, beta, cut)
+    return tail / total
+
 
 def tail_ratio_grid(ts, hs, alpha, beta):
     """Tail-mass ratio of the PL profile (ts, hs) without object overhead."""
-    mass_a, mom_a = _masses(ts, hs, alpha)
-    cut = mom_a / mass_a
-    total, _ = _masses(ts, hs, beta)
-    return _tail_from(ts, hs, beta, cut) / total
+    ts = np.asarray(ts, dtype=float)
+    hs = np.asarray(hs, dtype=float)
+    return float(_tail_ratios(ts, hs[None, :], alpha, beta)[0])
 
 
 def _project_concave(ts, hs):
-    """Concavity projection: re-sort the slope sequence, renormalize to max 1."""
-    slopes = np.sort(np.diff(hs) / np.diff(ts))[::-1]
-    out = np.concatenate([[hs[0]], hs[0] + np.cumsum(slopes * np.diff(ts))])
-    out -= out.min()
-    mx = out.max()
-    if mx <= 0.0:
-        return None
-    out /= mx
-    if np.any(out[1:-1] <= 0.0):
-        return None
-    return out
+    """Concavity projection of each row of hs (B, m): re-sort the slope
+    sequence, shift to min 0, scale to max 1.
+
+    Returns (rows, feasible); a row is infeasible when it comes out flat or
+    with a zero inside.
+    """
+    dt = np.diff(ts)
+    slopes = np.sort(np.diff(hs, axis=1) / dt, axis=1)[:, ::-1]
+    out = np.empty_like(hs)
+    out[:, 0] = hs[:, 0]
+    np.cumsum(slopes * dt, axis=1, out=out[:, 1:])
+    out[:, 1:] += hs[:, :1]
+    out -= out.min(axis=1, keepdims=True)
+    mx = out.max(axis=1)
+    feasible = mx > 0.0
+    out /= np.where(feasible, mx, 1.0)[:, None]
+    feasible &= (out[:, 1:-1] > 0.0).all(axis=1)
+    return out, feasible
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +283,18 @@ class SearchConfig:
     step_final: float = 1e-4
 
     def __post_init__(self):
+        _check_exponent("alpha", self.alpha)
+        _check_exponent("beta", self.beta)
         if self.m < 3:
             raise ParameterError("m must be at least 3")
         if self.budget < 1:
             raise ParameterError("budget must be at least 1")
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
+        for name in ("step_init", "step_final"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ParameterError(f"{name} must be finite and positive, got {value}")
         if self.seed is None:
             raise ParameterError("search requires an explicit seed")
 
@@ -148,43 +312,56 @@ class SearchResult:
 def minimize_tail_ratio(config):
     """Seeded multi-restart coordinate descent; gap >= -1e-9 always.
 
+    Restart k draws from its own generator [seed, k]. All restarts move in
+    lockstep as one (restarts, m) stack and follow the same trajectories as
+    if each ran alone; the trace lists each restart's accepted moves
+    (k, iteration, ratio) in order, restart by restart.
+
     A gap below -1e-9 would falsify the underlying inequality and raises
     RuntimeError; nothing downstream should ever see it.
     """
-    ts = np.linspace(0.0, 1.0, config.m)
-    bound = functional_bound(config.alpha, config.beta).value
+    m, alpha, beta = config.m, config.alpha, config.beta
+    ts = np.linspace(0.0, 1.0, m)
+    bound = functional_bound(alpha, beta).value
     decay = (config.step_final / config.step_init) ** (1.0 / max(config.budget, 1))
-    best_hs, best_ratio = None, np.inf
-    trace = []
-    for k in range(config.restarts):
-        rng = np.random.default_rng([config.seed, k])
-        hs = _project_concave(ts, np.maximum(rng.uniform(0.0, 1.0, config.m), 1e-3))
-        if hs is None:
-            hs = 1.0 - 0.5 * ts
-        cur = tail_ratio_grid(ts, hs, config.alpha, config.beta)
-        step = config.step_init
-        for it in range(config.budget):
-            j = int(rng.integers(0, config.m))
-            prop = hs.copy()
-            prop[j] = max(prop[j] + rng.choice((-1.0, 1.0)) * step * rng.uniform(0.1, 1.0), 0.0)
-            proj = _project_concave(ts, prop)
-            step = max(step * decay, config.step_final)
-            if proj is None:
-                continue
-            val = tail_ratio_grid(ts, proj, config.alpha, config.beta)
-            if val < cur - 1e-15:
-                cur, hs = val, proj
-                trace.append((k, it, float(val)))
-        if cur < best_ratio:
-            best_ratio, best_hs = cur, hs
+    rngs = [np.random.default_rng([config.seed, k]) for k in range(config.restarts)]
+    hs, feasible = _project_concave(
+        ts, np.array([np.maximum(rng.uniform(0.0, 1.0, m), 1e-3) for rng in rngs]))
+    hs[~feasible] = 1.0 - 0.5 * ts
+    cur = _tail_ratios(ts, hs, alpha, beta)
+    traces = [[] for _ in rngs]
+    rows = np.arange(len(rngs))
+    cols = np.empty(len(rngs), dtype=np.intp)
+    moves = np.empty(len(rngs))
+    step = config.step_init
+    for it in range(config.budget):
+        for k, rng in enumerate(rngs):
+            cols[k] = rng.integers(0, m)
+            # same draws as rng.choice((-1.0, 1.0)), at a fraction of its cost
+            moves[k] = (-1.0, 1.0)[rng.integers(0, 2)] * step * rng.uniform(0.1, 1.0)
+        prop = hs.copy()
+        prop[rows, cols] = np.maximum(prop[rows, cols] + moves, 0.0)
+        proj, feasible = _project_concave(ts, prop)
+        step = max(step * decay, config.step_final)
+        if not feasible.any():
+            continue
+        vals = _tail_ratios(ts, np.where(feasible[:, None], proj, hs), alpha, beta)
+        accept = feasible & (vals < cur - 1e-15)
+        for k in np.flatnonzero(accept):
+            traces[k].append((int(k), it, float(vals[k])))
+        hs[accept] = proj[accept]
+        cur[accept] = vals[accept]
+    best = int(np.argmin(cur))
+    best_ratio = float(cur[best])
     gap = best_ratio - bound
     if gap < -1e-9:
         raise RuntimeError(
             f"search found ratio {best_ratio!r} below the sharp bound {bound!r}: "
             "this falsifies the inequality and is a build-stopping failure")
-    profile = ConcaveProfile(np.column_stack([ts, best_hs]))
-    return SearchResult(profile=profile, ratio=float(best_ratio), bound=float(bound),
-                        gap=float(gap), trace=trace, config=config)
+    profile = ConcaveProfile(np.column_stack([ts, hs[best]]))
+    return SearchResult(profile=profile, ratio=best_ratio, bound=float(bound),
+                        gap=float(gap), trace=[t for trace in traces for t in trace],
+                        config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +409,24 @@ class SweepTable:
 def sweep(alpha_grid, beta_grid, trials, seed, m=12):
     """Random-profile falsification sweep over an (alpha, beta) grid.
 
-    Each cell draws its own deterministic batch of profiles (derived from the
-    global seed and the cell indices, so cells are order-independent) and
+    Each cell draws its own deterministic batch of profiles, trial k being
+    random_concave([seed, i, j, k], m) (so cells are order-independent), and
     records the minimum slack ratio - bound and the profile attaining it.
     """
+    if trials < 0:
+        raise ParameterError(f"trials must be non-negative, got {trials}")
     rows = []
     for i, alpha in enumerate(alpha_grid):
         for j, beta in enumerate(beta_grid):
             bound = functional_bound(alpha, beta).value
-            min_slack, argmin = np.inf, ""
-            for k in range(trials):
-                prof = random_concave([seed, i, j, k], m)
-                ratio = tail_ratio_grid(prof.ts, prof.hs, alpha, beta)
-                slack = ratio - bound
-                if slack < min_slack:
-                    min_slack, argmin = slack, profile_hash(prof)
-            if trials == 0:
-                min_slack, argmin = np.nan, ""
+            min_slack, argmin = np.nan, ""
+            if trials:
+                ts, hs = _random_stack([[seed, i, j, k] for k in range(trials)], m)
+                _check_concave_rows(ts, hs)
+                slack = _tail_ratios(ts, hs, alpha, beta) - bound
+                k = int(np.argmin(slack))
+                min_slack = slack[k]
+                argmin = profile_hash(ConcaveProfile(np.column_stack([ts[k], hs[k]])))
             rows.append(SweepRow(float(alpha), float(beta), int(trials),
                                  float(min_slack), argmin, int(seed)))
     return SweepTable(rows=tuple(rows))

@@ -94,3 +94,51 @@ def rotation_matrix_3d(rng):
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def project_concave_row(ts, hs):
+    """Concavity projection of one profile: re-sort the slopes, min 0, max 1."""
+    slopes = np.sort(np.diff(hs) / np.diff(ts))[::-1]
+    out = np.concatenate([[hs[0]], hs[0] + np.cumsum(slopes * np.diff(ts))])
+    out -= out.min()
+    mx = out.max()
+    if mx <= 0.0:
+        return None
+    out /= mx
+    if np.any(out[1:-1] <= 0.0):
+        return None
+    return out
+
+
+def reference_minimize(config):
+    """minimize_tail_ratio with each restart run alone, one profile at a time.
+
+    The reference for the lockstep search: the same generators, draws,
+    projection and acceptance rule, with every ratio from tail_ratio_grid.
+    Returns (ts, hs, ratio, trace) of the best restart.
+    """
+    ts = np.linspace(0.0, 1.0, config.m)
+    decay = (config.step_final / config.step_init) ** (1.0 / config.budget)
+    best_hs, best_ratio, trace = None, np.inf, []
+    for k in range(config.restarts):
+        rng = np.random.default_rng([config.seed, k])
+        hs = project_concave_row(ts, np.maximum(rng.uniform(0.0, 1.0, config.m), 1e-3))
+        if hs is None:
+            hs = 1.0 - 0.5 * ts
+        cur = gl.tail_ratio_grid(ts, hs, config.alpha, config.beta)
+        step = config.step_init
+        for it in range(config.budget):
+            j = int(rng.integers(0, config.m))
+            prop = hs.copy()
+            prop[j] = max(prop[j] + rng.choice((-1.0, 1.0)) * step * rng.uniform(0.1, 1.0), 0.0)
+            proj = project_concave_row(ts, prop)
+            step = max(step * decay, config.step_final)
+            if proj is None:
+                continue
+            val = gl.tail_ratio_grid(ts, proj, config.alpha, config.beta)
+            if val < cur - 1e-15:
+                cur, hs = val, proj
+                trace.append((k, it, val))
+        if cur < best_ratio:
+            best_ratio, best_hs = cur, hs
+    return ts, best_hs, best_ratio, trace
