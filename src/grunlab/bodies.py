@@ -41,6 +41,7 @@ from .profiles import (
     powered_integral,
     profile_from_json,
     reflect,
+    tail_mass_ratio,
 )
 from .quadrature import unit_ball_volume
 from .reports import make_report
@@ -1067,14 +1068,7 @@ def revolve_roundtrip(profile, n, r=1.0, spec=DEFAULT_QUADRATURE, tol=1e-8):
     geometric = 1.0 - halfspace_fraction(body, axis, lam, spec=spec)
     h = power_profile(profile, 1.0 / (n - 1))
     beta = float(n - 1)
-    alpha = r * beta
-    a, b = h.domain
-    if alpha == 0.0:
-        cut = 0.5 * (a + b)
-    else:
-        cut = moment_integral(h, alpha, spec=spec) / powered_integral(h, alpha, spec=spec)
-    functional = powered_integral(h, beta, (cut, b), spec=spec) \
-        / powered_integral(h, beta, spec=spec)
+    functional = tail_mass_ratio(h, r * beta, beta, spec=spec)
     return RoundTrip(functional_ratio=float(functional),
                      geometric_ratio=float(geometric),
                      discrepancy=float(abs(functional - geometric)),

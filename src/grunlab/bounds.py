@@ -21,7 +21,6 @@ off in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +28,13 @@ import numpy as np
 from .errors import DegenerateProfileError, ParameterError, PreconditionError
 from .profiles import (
     DEFAULT_QUADRATURE,
+    _check_exponent,
+    _tail_ratio_cut,
     alpha_centroid,
     evaluate,
     integration_provenance,
     p_concavity_check,
-    powered_integral,
-    tail_mass_ratio,
+    powered_split,
     tail_masses,
 )
 from .reports import make_report
@@ -60,12 +60,6 @@ class SharpBound:
             raise ParameterError(f"bound value {self.value} outside (0, 1)")
         if self.regime not in REGIMES:
             raise ParameterError(f"unknown regime {self.regime!r}")
-
-
-def _check_exponent(name, value):
-    """Raise ParameterError unless value is a finite, non-negative exponent."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ParameterError(f"{name} must be finite and non-negative, got {value}")
 
 
 def functional_bound(alpha, beta):
@@ -144,11 +138,11 @@ def verify_functional(h, alpha, beta, spec=DEFAULT_QUADRATURE, tol=BOUND_TOL):
     raises PreconditionError when h fails the concavity certificate.
     """
     _require_concave(h)
-    ratio = tail_mass_ratio(h, alpha, beta, spec=spec)
+    ratio, cut = _tail_ratio_cut(h, alpha, beta, spec)
     bound = functional_bound(alpha, beta)
     prov = integration_provenance(h, spec)
     prov["params"] = {"alpha": alpha, "beta": beta}
-    details = {"cut": alpha_centroid(h, alpha, spec=spec), "regime": bound.regime}
+    details = {"cut": cut, "regime": bound.regime}
     return make_report("functional-tail", ratio, bound.value, tol, prov, details)
 
 
@@ -208,13 +202,11 @@ def build_comparison_affine(h, alpha, beta, spec=DEFAULT_QUADRATURE):
     """
     if not beta > 0.0:
         raise ParameterError(f"beta must be positive, got {beta}")
-    a, b = h.domain
     g = alpha_centroid(h, alpha, spec=spec)
     hg = float(evaluate(h, g))
     if not hg > 0.0:
         raise DegenerateProfileError("profile vanishes at its alpha-centroid")
-    right = powered_integral(h, beta, (g, b), spec=spec)
-    total = powered_integral(h, beta, spec=spec)
+    total, right = powered_split(h, beta, g, spec=spec)
     delta = (beta + 1.0) * right / hg ** beta + g
     c = hg / (delta - g)
     gamma = delta - ((beta + 1.0) * total / c ** beta) ** (1.0 / (beta + 1.0))
@@ -272,8 +264,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128,
     """
     a, b = h.domain
     hg = float(evaluate(h, g.anchor))
-    total = powered_integral(h, beta, spec=spec)
-    right = powered_integral(h, beta, (g.anchor, b), spec=spec)
+    total, right = powered_split(h, beta, g.anchor, spec=spec)
     value_error = abs(g.value(g.anchor) - hg) / max(hg, 1e-300)
     total_mass_error = abs(g.powered_total(beta) - total) / max(total, 1e-300)
     tail_mass_error = abs(float(g.powered_tail(beta, g.anchor)) - right) / max(total, 1e-300)

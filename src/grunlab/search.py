@@ -11,10 +11,10 @@ the slope sequence as the concavity projection. Determinism: a fixed seed
 fixes the entire trajectory; restarts and sweep trials use independently
 derived generators.
 
-Every ratio comes from one segment kernel applied to a (B, m) stack of
-profiles: the restarts of a search move in lockstep as one stack, and a sweep
-cell evaluates all of its trials in one call. A stacked row gives bitwise the
-same ratio as the same row alone.
+Every ratio comes from the profile engine's segment kernel applied to a
+(B, m) stack of profiles: the restarts of a search move in lockstep as one
+stack, and a sweep cell evaluates all of its trials in one call. A stacked
+row gives bitwise the same ratio as the same row alone.
 """
 
 from __future__ import annotations
@@ -24,20 +24,14 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .bounds import _check_exponent, functional_bound
+from .bounds import functional_bound
 from .errors import ParameterError
-from .profiles import CONCAVITY_TOL, ConcaveProfile
+from .profiles import CONCAVITY_TOL, ConcaveProfile, _check_exponent, _tail_ratios
 
 _MIN_GAP = 1e-3  # minimum abscissa spacing in random profiles, relative to the domain
-
-# A segment whose relative change d = (hb - ha) / (ha + hb) has
-# |d| (e + 2) <= _SERIES_CUT is integrated by its midpoint series in d.
-_SERIES_CUT = 0.05
-_R_MAX = 1.0 - 2.0 ** -53  # keeps log1p finite on segments that reach zero
 
 
 # ---------------------------------------------------------------------------
@@ -128,9 +122,8 @@ def _check_concave_rows(ts, hs):
     """Raise what ConcaveProfile raises for the first row it would reject.
 
     The vectorized test flags every row that may break an invariant (order,
-    sign, concavity, interior positivity, positive mass; for nonnegative
-    ordinates the trapezoid mass is positive exactly when the exact one is);
-    the constructor then decides on the flagged rows alone.
+    sign, concavity, interior positivity, positive maximum); the constructor
+    then decides on the flagged rows alone.
     """
     dt = np.diff(ts, axis=1)
     slopes = np.diff(hs, axis=1) / dt
@@ -140,110 +133,22 @@ def _check_concave_rows(ts, hs):
            | (np.diff(slopes, axis=1)
               > CONCAVITY_TOL * np.maximum(scale, 1.0)[:, None]).any(axis=1)
            | (hs[:, 1:-1] <= 0.0).any(axis=1)
-           | ~(((hs[:, :-1] + hs[:, 1:]) * dt).sum(axis=1) > 0.0))
+           | ~(hs.max(axis=1) > 0.0))
     for k in np.flatnonzero(bad):
         ConcaveProfile(np.column_stack([ts[k], hs[k]]))
 
 
 # ---------------------------------------------------------------------------
-# the segment kernel on (B, m) stacks of piecewise-linear profiles
+# tail ratios and the concavity projection on (B, m) stacks
 # ---------------------------------------------------------------------------
-
-def _horner(coeffs, x):
-    acc = coeffs[0] * x + coeffs[1]
-    for c in coeffs[2:]:
-        acc = acc * x + c
-    return acc
-
-
-@lru_cache(maxsize=64)
-def _series(e):
-    """Midpoint-series coefficients in d^2, highest power first: C(e, k) / (k + 1)
-    for even k <= 6 (mass) and C(e, k) / (k + 2) for odd k <= 7 (moment)."""
-    binom = [1.0]
-    for k in range(1, 8):
-        binom.append(binom[-1] * (e - k + 1) / k)
-    return (tuple(binom[k] / (k + 1) for k in (6, 4, 2, 0)),
-            tuple(binom[k] / (k + 2) for k in (7, 5, 3, 1)))
-
-
-def _segments(ha, hb, dt, e, moment):
-    """int h^e and int (t - t_mid) h^e over affine segments, elementwise.
-
-    h runs from ha to hb over a width dt and t_mid is the segment's midpoint;
-    the centred moment is None unless moment is set. With s = (ha + hb) / 2
-    and d = (hb - ha) / (ha + hb), a segment with |d| (e + 2) <= _SERIES_CUT
-    uses the midpoint series
-
-        mass    = dt s^e          sum_{k even} C(e, k) d^k / (k + 1)
-        centred = dt^2 s^e / 2    sum_{k odd}  C(e, k) d^k / (k + 2)
-
-    through d^7; there the closed form cancels. For e <= 100 the first
-    omitted terms stay below 1.2e-16 of the mass and 5e-15 of the centred
-    moment. Other segments use the closed form written in
-    r = |hb - ha| / max(ha, hb) with log1p and expm1, which keeps it accurate
-    down to the cut and on segments that reach zero.
-    """
-    s2 = ha + hb
-    dh = hb - ha
-    d = dh / np.where(s2 > 0.0, s2, 1.0)
-    near = np.abs(d) * (e + 2.0) <= _SERIES_CUT
-    even, odd = _series(e)
-    d2 = d * d
-    mid_e = (0.5 * s2) ** e
-    hi = np.maximum(ha, hb)
-    r = np.where(near, 0.5, np.abs(dh) / np.where(near, 1.0, hi))
-    log_ratio = np.log1p(-np.minimum(r, _R_MAX))  # log(min(ha, hb) / max(ha, hb))
-    hi_e = hi ** e
-    g1 = -np.expm1((e + 1.0) * log_ratio) / ((e + 1.0) * r)
-    mass = dt * np.where(near, mid_e * _horner(even, d2), hi_e * g1)
-    if not moment:
-        return mass, None
-    # int (t - t_mid) h^e = (dt / dh) (int h^(e+1) - s int h^e)
-    g2 = -np.expm1((e + 2.0) * log_ratio) / ((e + 2.0) * r)
-    closed = np.copysign(hi_e * (g2 - (1.0 - 0.5 * r) * g1) / r, dh)
-    centred = dt * dt * np.where(near, 0.5 * mid_e * d * _horner(odd, d2), closed)
-    return mass, centred
-
-
-def _mass_moment(ts, hs, e):
-    """Row-wise int h^e and int t h^e; hs is (B, m), ts is (m,) or (B, m)."""
-    mass, centred = _segments(hs[:, :-1], hs[:, 1:], ts[..., 1:] - ts[..., :-1], e, True)
-    mid = 0.5 * (ts[..., :-1] + ts[..., 1:])
-    return mass.sum(axis=1), (mid * mass + centred).sum(axis=1)
-
-
-def _mass_tail(ts, hs, e, cut):
-    """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain."""
-    rows, m = np.arange(hs.shape[0]), hs.shape[1]
-    ts = np.broadcast_to(ts, hs.shape)
-    i = (ts[:, 1:-1] <= cut[:, None]).sum(axis=1)  # the segment holding the cut
-    t0, t1, h0, h1 = ts[rows, i], ts[rows, i + 1], hs[rows, i], hs[rows, i + 1]
-    hcut = h0 + (h1 - h0) / (t1 - t0) * (cut - t0)
-    # the m - 1 segments and, as one more column, [cut, t1]
-    ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
-    ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
-    hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
-    dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
-    seg, _ = _segments(ha, hb, dt, e, False)
-    full = seg[:, :-1]
-    after = np.arange(m - 1) > i[:, None]
-    return full.sum(axis=1), np.where(after, full, 0.0).sum(axis=1) + seg[:, -1]
-
-
-def _tail_ratios(ts, hs, alpha, beta):
-    """Tail-mass ratios of a (B, m) stack of profiles; ts is (m,) or (B, m)."""
-    mass, moment = _mass_moment(ts, hs, alpha)
-    cut = np.clip(moment / mass, ts[..., 0], ts[..., -1])
-    total, tail = _mass_tail(ts, hs, beta, cut)
-    return tail / total
-
 
 def tail_ratio_grid(ts, hs, alpha, beta):
     """Tail-mass ratio of the PL profile (ts, hs) without object overhead."""
+    _check_exponent("alpha", alpha)
+    _check_exponent("beta", beta)
     ts = np.asarray(ts, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    return float(_tail_ratios(ts, hs[None, :], alpha, beta)[0])
+    return float(_tail_ratios(ts, hs[None, :], alpha, beta)[0][0])
 
 
 def _project_concave(ts, hs):
@@ -328,7 +233,7 @@ def minimize_tail_ratio(config):
     hs, feasible = _project_concave(
         ts, np.array([np.maximum(rng.uniform(0.0, 1.0, m), 1e-3) for rng in rngs]))
     hs[~feasible] = 1.0 - 0.5 * ts
-    cur = _tail_ratios(ts, hs, alpha, beta)
+    cur, _ = _tail_ratios(ts, hs, alpha, beta)
     traces = [[] for _ in rngs]
     rows = np.arange(len(rngs))
     cols = np.empty(len(rngs), dtype=np.intp)
@@ -345,7 +250,7 @@ def minimize_tail_ratio(config):
         step = max(step * decay, config.step_final)
         if not feasible.any():
             continue
-        vals = _tail_ratios(ts, np.where(feasible[:, None], proj, hs), alpha, beta)
+        vals, _ = _tail_ratios(ts, np.where(feasible[:, None], proj, hs), alpha, beta)
         accept = feasible & (vals < cur - 1e-15)
         for k in np.flatnonzero(accept):
             traces[k].append((int(k), it, float(vals[k])))
@@ -423,7 +328,7 @@ def sweep(alpha_grid, beta_grid, trials, seed, m=12):
             if trials:
                 ts, hs = _random_stack([[seed, i, j, k] for k in range(trials)], m)
                 _check_concave_rows(ts, hs)
-                slack = _tail_ratios(ts, hs, alpha, beta) - bound
+                slack = _tail_ratios(ts, hs, alpha, beta)[0] - bound
                 k = int(np.argmin(slack))
                 min_slack = slack[k]
                 argmin = profile_hash(ConcaveProfile(np.column_stack([ts[k], hs[k]])))

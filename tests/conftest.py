@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,46 @@ def cone3():
 
 def random_profiles(seed, count, m=10):
     return [gl.random_concave([seed, k], m) for k in range(count)]
+
+
+def _exact_segment(ha, hb, ta, tb, e):
+    """Exact int h^e and int t h^e over one affine segment, integer e >= 0."""
+    dt = tb - ta
+    terms = [ha ** (e - k) * hb ** k for k in range(e + 1)]
+    mass = dt * sum(terms) / (e + 1)
+    moment = dt * (ta * sum(terms) / (e + 1)
+                   + dt * sum((k + 1) * w for k, w in enumerate(terms)) / ((e + 1) * (e + 2)))
+    return mass, moment
+
+
+def exact_integrals(ts, hs, e, lo=None, hi=None):
+    """int_lo^hi h^e and int_lo^hi t h^e of the PL profile (ts, hs), exactly,
+    for integer e (default interval: the whole domain)."""
+    ts = [Fraction(float(t)) for t in ts]
+    hs = [Fraction(float(h)) for h in hs]
+    lo = ts[0] if lo is None else Fraction(lo)
+    hi = ts[-1] if hi is None else Fraction(hi)
+    mass = moment = Fraction(0)
+    for ha, hb, ta, tb in zip(hs[:-1], hs[1:], ts[:-1], ts[1:]):
+        a, b = max(ta, lo), min(tb, hi)
+        if a < b:
+            slope = (hb - ha) / (tb - ta)
+            seg = _exact_segment(ha + slope * (a - ta), ha + slope * (b - ta), a, b, e)
+            mass, moment = mass + seg[0], moment + seg[1]
+    return mass, moment
+
+
+def exact_centroid(ts, hs, alpha):
+    mass, moment = exact_integrals(ts, hs, alpha)
+    return moment / mass
+
+
+def exact_tail_ratio(ts, hs, alpha, beta):
+    """Tail-mass ratio in exact rational arithmetic, for integer alpha and beta."""
+    cut = exact_centroid(ts, hs, alpha)
+    total = exact_integrals(ts, hs, beta)[0]
+    tail = exact_integrals(ts, hs, beta, lo=cut)[0]
+    return float(tail / total)
 
 
 def superlevel_sigma_violation(h, beta, grid_size=512):

@@ -125,9 +125,23 @@ def test_verify_functional_symmetric_case(flat):
 
 def test_verify_functional_random_profiles_never_violate():
     for prof in random_profiles(41, 25, m=9):
-        for alpha, beta in ((0.5, 0.5), (2.0, 0.5), (1.0, 3.0), (3.0, 3.0)):
+        for alpha, beta in ((0.5, 0.5), (2.0, 0.5), (1.0, 3.0), (3.0, 3.0), (1.0, 0.0)):
             rep = gl.verify_functional(prof, alpha, beta)
             assert rep.passed, (alpha, beta, rep.slack)
+            assert rep.ratio == gl.tail_mass_ratio(prof, alpha, beta)
+            assert rep.details["cut"] == gl.alpha_centroid(prof, alpha)
+
+
+def test_verify_functional_beta_zero_limit():
+    # the increasing affine profile attains the beta -> 0 constant 1/(alpha+2)
+    rising = gl.ConcaveProfile([[0.0, 0.0], [1.0, 1.0]])
+    ball = gl.BallSectionProfile(1.0, 3)  # concave section profile of the R^3 ball
+    for alpha in (0.5, 1.0, 3.0):
+        rep = gl.verify_functional(rising, alpha, 0.0)
+        assert rep.ratio == pytest.approx(gl.functional_bound(alpha, 0.0).value, abs=1e-15)
+        assert rep.passed
+        rep = gl.verify_functional(ball, alpha, 0.0)
+        assert rep.passed and rep.ratio == pytest.approx(0.5, abs=1e-12)
 
 
 def test_verify_functional_rejects_non_concave():

@@ -4,8 +4,12 @@ Derived expected values are frozen from independent oracles: elementary
 antiderivatives for the affine cases, scipy quadrature for everything else.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import grunlab as gl
@@ -16,7 +20,13 @@ from grunlab.errors import (
     ProfileError,
 )
 
-from conftest import random_profiles, superlevel_sigma_violation
+from conftest import (
+    exact_centroid,
+    exact_integrals,
+    exact_tail_ratio,
+    random_profiles,
+    superlevel_sigma_violation,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +232,47 @@ def test_tail_masses_vectorized_matches_scalar():
         assert v == pytest.approx(gl.powered_integral(prof, 1.8, (lo, b)), rel=1e-12, abs=1e-15)
 
 
+def test_tail_masses_at_a_cut_just_before_a_zero_end():
+    # the ordinate interpolated there rounds below zero; the kernel clamps it
+    prof = gl.random_concave([9, 754], 6)
+    assert prof.hs[-1] == 0.0
+    tail = gl.tail_masses(prof, 0.5, [np.nextafter(1.0, 0.0)])[0]
+    assert 0.0 <= tail <= 1e-20
+
+
 def test_degenerate_profile_rejected():
     with pytest.raises(DegenerateProfileError):
         gl.ConcaveProfile([[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_tiny_profile_accepted():
+    # a valid profile scaled by 1e-200 has a mass that underflows, not zero mass
+    h = gl.ConcaveProfile([[0.0, 0.0], [0.5, 1e-200], [1.0, 3e-201]])
+    assert gl.tail_mass_ratio(h, 2.0, 3.0) == gl.tail_ratio_grid(h.ts, h.hs / 1e-200, 2.0, 3.0)
+
+
+def test_exponents_must_be_finite_and_non_negative(affine):
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError, match="alpha"):
+            gl.alpha_centroid(affine, bad)
+        with pytest.raises(ParameterError, match="alpha"):
+            gl.tail_mass_ratio(affine, bad, 1.0)
+        with pytest.raises(ParameterError, match="beta"):
+            gl.tail_mass_ratio(affine, 1.0, bad)
+
+
+def test_beta_zero_is_the_support_length_limit():
+    # h > 0 inside the domain, so the limit is (b - g_alpha) / (b - a)
+    for prof in random_profiles(19, 8, m=7):
+        a, b = prof.domain
+        for alpha in (0.0, 1.0, 2.5):
+            r = gl.tail_mass_ratio(prof, alpha, 0.0)
+            assert r == gl.tail_ratio_grid(prof.ts, prof.hs, alpha, 0.0)
+            assert r == pytest.approx((b - gl.alpha_centroid(prof, alpha)) / (b - a),
+                                      abs=1e-14)
+            assert r == pytest.approx(gl.tail_mass_ratio(prof, alpha, 1e-9), abs=1e-8)
+    power = gl.DecreasingPowerProfile(1.0, 0.0, 1.0, 0.5)
+    assert gl.tail_mass_ratio(power, 1.0, 0.0) == 1.0 - gl.alpha_centroid(power, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +427,112 @@ def test_json_errors():
     raw = gl.profile_from_json({"breakpoints": [[0.0, 1.0], [0.5, 0.1], [1.0, 1.0]]})
     assert isinstance(raw, gl.PiecewiseLinear)
     assert not isinstance(raw, gl.ConcaveProfile)
+
+
+# ---------------------------------------------------------------------------
+# the object path against exact rational arithmetic, and its invariances
+# ---------------------------------------------------------------------------
+
+NEARLY_FLAT = (1e-8, 1e-7, 1e-6, 1e-5)
+INTEGER_EXPONENTS = ((2, 1), (1, 1), (3, 2), (1, 3))
+
+
+def _object_path_errors(ts, hs, alpha, beta):
+    """Largest deviation of each object-path result from exact rationals,
+    relative to the exact value where that exceeds 1."""
+    h = gl.PiecewiseLinear(np.column_stack([ts, hs]))
+    a, b = h.domain
+    lo, hi = a + 0.31 * (b - a), a + 0.87 * (b - a)
+
+    def err(got, exact):
+        return abs(got - float(exact)) / max(1.0, abs(float(exact)))
+
+    mass, moment = exact_integrals(ts, hs, beta, lo, hi)
+    cuts = np.linspace(a - 0.1, b, 9)
+    tails = [exact_integrals(ts, hs, beta, lo=min(max(c, a), b))[0] for c in cuts]
+    split = gl.profiles.powered_split(h, beta, lo)
+    return {
+        "ratio": abs(gl.tail_mass_ratio(h, alpha, beta) - exact_tail_ratio(ts, hs, alpha, beta)),
+        "centroid": abs(gl.alpha_centroid(h, alpha) - float(exact_centroid(ts, hs, alpha))),
+        "mass": err(gl.powered_integral(h, beta, (lo, hi)), mass),
+        "moment": err(gl.moment_integral(h, beta, (lo, hi)), moment),
+        "tails": max(err(v, t) for t, v in zip(tails, gl.tail_masses(h, beta, cuts))),
+        "split": max(err(split[0], tails[0]), err(split[1], exact_integrals(ts, hs, beta, lo)[0])),
+    }
+
+
+@pytest.mark.parametrize("alpha,beta", INTEGER_EXPONENTS)
+@pytest.mark.parametrize("change", NEARLY_FLAT)
+def test_object_path_exact_on_nearly_flat_segments(alpha, beta, change):
+    ts = np.linspace(0.0, 1.0, 6)
+    shapes = (
+        [0.2, 0.6, 0.9, 1.0, 1.0 - change, 0.5],       # flat near the top
+        [1.0, 1.0 - change, 0.7, 0.4, 0.2, 0.0],       # flat first segment
+        [0.0, 0.5, 0.8, 0.9, 0.9 * (1.0 + change), 0.9 * (1.0 + 2 * change)],
+    )
+    for hs in shapes:
+        errors = _object_path_errors(ts, hs, alpha, beta)
+        assert max(errors.values()) <= 1e-14, (hs, errors)
+
+
+def test_object_path_exact_on_random_profiles():
+    for k in range(40):
+        prof = gl.random_concave([505, k], 4 + k % 13, domain=(-0.5, 1.5))
+        for alpha, beta in INTEGER_EXPONENTS:
+            errors = _object_path_errors(prof.ts, 1.7 * prof.hs, alpha, beta)
+            assert max(errors.values()) <= 1e-14, (k, alpha, beta, errors)
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+_exponents = st.floats(0.0, 6.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, m=st.integers(3, 20), alpha=_exponents, beta=_exponents,
+       power=st.sampled_from([-150, 150]))
+def test_ratio_and_centroid_invariant_under_scaling(seed, m, alpha, beta, power):
+    prof = gl.random_concave(seed, m)
+    scaled = gl.ConcaveProfile(np.column_stack([prof.ts, 10.0 ** power * prof.hs]))
+    r = gl.tail_mass_ratio(scaled, alpha, beta)
+    assert math.isfinite(r)
+    assert r == pytest.approx(gl.tail_mass_ratio(prof, alpha, beta), abs=1e-12)
+    assert gl.alpha_centroid(scaled, alpha) == pytest.approx(gl.alpha_centroid(prof, alpha),
+                                                             abs=1e-12)
+    assert gl.tail_ratio_grid(scaled.ts, scaled.hs, alpha, beta) == r
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, m=st.integers(3, 20), alpha=_exponents, beta=_exponents,
+       stretch=st.floats(1e-3, 1e3), shift=st.floats(-1e3, 1e3))
+def test_ratio_invariant_and_centroid_covariant_under_affine_time(seed, m, alpha, beta,
+                                                                  stretch, shift):
+    prof = gl.random_concave(seed, m)
+    moved = gl.ConcaveProfile(np.column_stack([stretch * prof.ts + shift, prof.hs]))
+    # rounding the moved abscissas already costs eps |shift| / stretch of the width
+    assert gl.tail_mass_ratio(moved, alpha, beta) == pytest.approx(
+        gl.tail_mass_ratio(prof, alpha, beta), abs=1e-12 * (1.0 + abs(shift) / stretch))
+    g = gl.alpha_centroid(prof, alpha)
+    assert gl.alpha_centroid(moved, alpha) == pytest.approx(
+        stretch * g + shift, abs=1e-12 * (stretch + abs(shift)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_seeds, m=st.integers(3, 20), alpha=_exponents, beta=_exponents)
+def test_reflection_swaps_the_two_sides_of_the_cut(seed, m, alpha, beta):
+    prof = gl.random_concave(seed, m)
+    mirrored = gl.reflect(prof)
+    assert gl.tail_mass_ratio(mirrored, alpha, beta) == pytest.approx(
+        1.0 - gl.tail_mass_ratio(prof, alpha, beta), abs=1e-12)
+    assert gl.alpha_centroid(mirrored, alpha) == pytest.approx(-gl.alpha_centroid(prof, alpha),
+                                                               abs=1e-12)
+
+
+def test_ratio_finite_and_unchanged_at_extreme_scales():
+    ts = np.linspace(0.0, 1.0, 6)
+    hs = np.array([0.2, 0.6, 0.9, 1.0, 1.0 - 1e-6, 0.5])
+    base = gl.tail_ratio_grid(ts, hs, 2.0, 3.0)
+    for scale in (1e200, 1e-200):
+        h = gl.ConcaveProfile(np.column_stack([ts, scale * hs]))
+        assert abs(gl.tail_mass_ratio(h, 2.0, 3.0) - base) <= 1e-12
+        assert abs(gl.tail_ratio_grid(ts, scale * hs, 2.0, 3.0) - base) <= 1e-12
+        assert gl.verify_functional(h, 2.0, 3.0).ratio == gl.tail_mass_ratio(h, 2.0, 3.0)

@@ -2,7 +2,6 @@
 
 import io
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,34 +11,8 @@ from scipy.stats import ks_2samp
 
 import grunlab as gl
 import grunlab.search as search
-from conftest import project_concave_row, reference_minimize
+from conftest import exact_tail_ratio, project_concave_row, reference_minimize
 from grunlab.errors import ParameterError, ProfileError
-
-
-def _exact_segment(ha, hb, ta, tb, e):
-    """Exact int h^e and int t h^e over one affine segment, integer e >= 0."""
-    dt = tb - ta
-    terms = [ha ** (e - k) * hb ** k for k in range(e + 1)]
-    mass = dt * sum(terms) / (e + 1)
-    moment = dt * (ta * sum(terms) / (e + 1)
-                   + dt * sum((k + 1) * w for k, w in enumerate(terms)) / ((e + 1) * (e + 2)))
-    return mass, moment
-
-
-def exact_tail_ratio(ts, hs, alpha, beta):
-    """Tail-mass ratio in exact rational arithmetic, for integer alpha and beta."""
-    ts = [Fraction(float(t)) for t in ts]
-    hs = [Fraction(float(h)) for h in hs]
-    segs = list(zip(hs[:-1], hs[1:], ts[:-1], ts[1:]))
-    parts = [_exact_segment(*seg, alpha) for seg in segs]
-    cut = sum(p[1] for p in parts) / sum(p[0] for p in parts)
-    total = tail = Fraction(0)
-    for ha, hb, ta, tb in segs:
-        total += _exact_segment(ha, hb, ta, tb, beta)[0]
-        if tb > cut:
-            lo = max(ta, cut)
-            tail += _exact_segment(ha + (hb - ha) * (lo - ta) / (tb - ta), hb, lo, tb, beta)[0]
-    return float(tail / total)
 
 
 def test_random_concave_always_valid():
@@ -63,11 +36,15 @@ def test_random_concave_rejects_small_m():
 
 
 def test_tail_ratio_grid_matches_object_path():
+    # both paths make the same kernel calls, so they agree bitwise
     for k in range(10):
         prof = gl.random_concave(k, 8)
-        fast = gl.tail_ratio_grid(prof.ts, prof.hs, 1.3, 2.1)
-        slow = gl.tail_mass_ratio(prof, 1.3, 2.1)
-        assert fast == pytest.approx(slow, rel=1e-12)
+        for alpha, beta in ((1.3, 2.1), (0.0, 1.0), (2.0, 0.0)):
+            fast = gl.tail_ratio_grid(prof.ts, prof.hs, alpha, beta)
+            assert fast == gl.tail_mass_ratio(prof, alpha, beta)
+            scaled = gl.ConcaveProfile(np.column_stack([prof.ts, 3.7 * prof.hs]))
+            assert gl.tail_mass_ratio(scaled, alpha, beta) == gl.tail_ratio_grid(
+                scaled.ts, scaled.hs, alpha, beta)
 
 
 def test_search_deterministic_and_nonnegative_gap():
@@ -190,10 +167,10 @@ def test_stacked_rows_match_single_rows_bitwise(seeds, m, alpha, beta, flatten):
     if flatten:  # make one segment of every row nearly flat
         j = flatten % (m - 1)
         hs[:, j + 1] = hs[:, j] * (1.0 + 10.0 ** -flatten)
-    stacked = search._tail_ratios(ts, hs, alpha, beta)
+    stacked, _ = search._tail_ratios(ts, hs, alpha, beta)
     single = [gl.tail_ratio_grid(t, h, alpha, beta) for t, h in zip(ts, hs)]
     assert stacked.tolist() == single
-    shared = search._tail_ratios(ts[0], hs, alpha, beta)
+    shared, _ = search._tail_ratios(ts[0], hs, alpha, beta)
     assert shared.tolist() == [gl.tail_ratio_grid(ts[0], h, alpha, beta) for h in hs]
 
 
@@ -242,10 +219,9 @@ def test_sweep_rows_match_per_trial_minimum():
             k = int(np.argmin(exact))
             assert row.argmin_profile_hash == gl.profile_hash(profs[k])
             assert abs(row.min_slack - exact[k]) <= 1e-12
-            # the object path's closed forms lose up to ~1e-9 on nearly flat
-            # segments of random profiles, so it is held to 1e-8 here
-            obj = min(gl.tail_mass_ratio(p, alpha, beta) - bound for p in profs)
-            assert abs(row.min_slack - obj) <= 1e-8
+            # the object path runs the same kernel on each row alone
+            assert row.min_slack == min(gl.tail_mass_ratio(p, alpha, beta) - bound
+                                        for p in profs)
 
 
 def test_sweep_rejects_a_stack_the_constructor_rejects():
@@ -276,6 +252,11 @@ def test_non_finite_or_negative_exponents_rejected(bad):
         gl.functional_bound(1.0, bad)
     with pytest.raises(ParameterError):
         gl.functional_root_limit(bad)
+    ts, hs = np.linspace(0.0, 1.0, 4), [0.2, 1.0, 0.8, 0.1]
+    with pytest.raises(ParameterError, match="alpha"):
+        gl.tail_ratio_grid(ts, hs, bad, 1.0)
+    with pytest.raises(ParameterError, match="beta"):
+        gl.tail_ratio_grid(ts, hs, 1.0, bad)
 
 
 @pytest.mark.parametrize("field", ["step_init", "step_final"])
