@@ -1,7 +1,9 @@
 """Convex bodies, their section profiles, and the Brunn concavity certificate.
 
-Exact sectioning: balls in any dimension, polytopes up to R^3, simplices
-along a facet normal in any dimension, boxes, and bodies of revolution.
+Exact sectioning: balls in any dimension, simplices in any dimension,
+polygons and 3-polytopes, boxes (any direction up to R^6, a coordinate axis
+in any dimension), and bodies of revolution. Every polytope profile is one
+sum of simplex B-splines over a simplicial decomposition.
 """
 
 import numpy as np
@@ -52,6 +54,13 @@ print(f"\nrandom polygon, central section ratio {rep.ratio:.4f} "
 rep = gl.verify_minkowski_radon(poly, u2)
 print(f"random polygon, projection split {rep.ratio:.4f} "
       f">= {rep.bound:.4f}: pass={rep.passed}")
+
+# a random simplex in R^5 along a random direction: exact, no Monte Carlo
+s5 = gl.Simplex(rng.normal(size=(6, 5)))
+u5 = rng.normal(size=5)
+u5 /= np.linalg.norm(u5)
+print(f"\nrandom 5-simplex: r=1 centroid {gl.r_centroid_point(s5, u5, 1.0):.12f} "
+      f"vs centroid along u {float(gl.centroid(s5) @ u5):.12f}")
 
 # body of revolution from a profile: sections reproduce the profile exactly
 f = gl.power_profile(gl.random_concave(5, 6), 2.0)

@@ -4,17 +4,23 @@ Every operation reduces a body K and unit direction u to the one-dimensional
 section profile f(t) = vol_{n-1}(K intersect {<x, u> = t}) and then reuses the
 profile engine: r-powered centroid cuts, halfspace mass fractions, and the
 sharp-constant verdicts. Exact sectioning covers balls in any dimension,
-polytopes up to R^3, simplices along a facet-normal axis in any dimension,
-axis-aligned boxes, and bodies of revolution along their axis; everything
-else goes through seeded Monte Carlo with declared uncertainty.
+bodies of revolution along their axis, and every polytope: simplices,
+polygons and 3-polytopes along any direction, and boxes along any direction
+up to R^6 (along a coordinate axis in any dimension). A polytope's profile is
+one sum of simplex B-splines over a simplicial decomposition (polygons keep
+it as an exact piecewise-linear profile; facet-normal simplex and
+axis-aligned box sections keep their closed forms). Everything else goes
+through seeded Monte Carlo with declared uncertainty.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import statistics
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,9 +39,10 @@ from .profiles import (
     DecreasingPowerProfile,
     DEFAULT_QUADRATURE,
     IncreasingPowerProfile,
+    _check_in_domain,
+    alpha_centroid,
     evaluate,
     integration_provenance,
-    moment_integral,
     p_concavity_check,
     power_profile,
     powered_integral,
@@ -47,6 +54,10 @@ from .quadrature import unit_ball_volume
 from .reports import make_report
 
 _GEOM_TOL = 1e-12
+_KUHN_MAX_DIM = 6  # a box's Kuhn triangulation has n! simplices
+_KNOT_TIE = 1e-12  # relative gap below which vertex projections tie
+_SPLINE_BLOCK = 1 << 16  # (simplex, point) pairs per de Boor-Cox block
+_GAUSS_MAX_NODES = 100  # larger integer powers go to adaptive quadrature
 _Z99_ONE_SIDED = 2.3263478740408408  # 99% one-sided normal quantile
 
 
@@ -146,6 +157,15 @@ class Box:
                              for i in range(dim)] for k in range(1 << dim)])
         return corners
 
+    def _simplices(self):
+        """Kuhn triangulation: for each order of the axes, the corners reached
+        from lo by stepping along them in turn (bit i of a corner index means
+        hi[i]); n! simplices of volume vol / n!. None above R^6."""
+        if self.dim > _KUHN_MAX_DIM:
+            return None
+        steps = np.cumsum(1 << np.array(list(itertools.permutations(range(self.dim)))), axis=1)
+        return self.vertices(), np.column_stack([np.zeros(len(steps), dtype=int), steps])
+
     def to_json(self):
         return {"variant": "box", "min_corner": list(self.lo), "max_corner": list(self.hi)}
 
@@ -189,6 +209,9 @@ class Simplex:
 
     def centroid(self):
         return self.verts.mean(axis=0)
+
+    def _simplices(self):
+        return self.verts, np.arange(self.dim + 1)[None]
 
     def to_json(self):
         return {"variant": "simplex", "vertices": [list(v) for v in self.verts]}
@@ -270,6 +293,11 @@ class Polytope2D:
             return 0.0
         return max(spans) - min(spans)
 
+    def _simplices(self):
+        """Triangle fan from vertex 0."""
+        i = np.arange(1, len(self.verts) - 1)
+        return self.verts, np.column_stack([np.zeros_like(i), i, i + 1])
+
     def to_json(self):
         return {"variant": "polytope2d", "vertices": [list(v) for v in self.verts]}
 
@@ -306,12 +334,6 @@ class Polytope3D:
             offsets.append(off)
         self._normals = np.array(normals)
         self._offsets = np.array(offsets)
-        edges = set()
-        for f in self.faces:
-            for i in range(len(f)):
-                a, b = f[i], f[(i + 1) % len(f)]
-                edges.add((min(a, b), max(a, b)))
-        self._edges = sorted(edges)
 
     @staticmethod
     def _newell_normal(pts):
@@ -335,51 +357,29 @@ class Polytope3D:
     def bounding_box(self):
         return self.verts.min(axis=0), self.verts.max(axis=0)
 
-    def _tetra_fan(self):
-        p0 = self._interior
-        for f in self.faces:
-            pts = self.verts[list(f)]
-            for i in range(1, len(f) - 1):
-                yield p0, pts[0], pts[i], pts[i + 1]
+    def _simplices(self):
+        """Tetrahedral fan: the vertex mean (index len(verts), appended) joined
+        to a triangle fan of each face."""
+        p = len(self.verts)
+        return (np.vstack([self.verts, self._interior]),
+                np.array([(p, f[0], f[i], f[i + 1])
+                          for f in self.faces for i in range(1, len(f) - 1)]))
 
     def volume(self):
-        total = 0.0
-        for p0, a, b, c in self._tetra_fan():
-            total += abs(np.linalg.det(np.stack([a - p0, b - p0, c - p0]))) / 6.0
-        return total
+        return float(_simplex_volumes(*self._simplices()).sum())
 
     def centroid(self):
-        total = 0.0
-        acc = np.zeros(3)
-        for p0, a, b, c in self._tetra_fan():
-            vol = abs(np.linalg.det(np.stack([a - p0, b - p0, c - p0]))) / 6.0
-            acc += vol * (p0 + a + b + c) / 4.0
-            total += vol
-        if total <= 0.0:
+        points, idx = self._simplices()
+        vols = _simplex_volumes(points, idx)
+        if not vols.sum() > 0.0:
             raise DegenerateBodyError("polytope has zero volume")
-        return acc / total
+        return vols @ points[idx].mean(axis=1) / vols.sum()
 
     def section_area(self, u, t):
-        """Area of the cross-section polygon at <x, u> = t."""
-        u = _unit(u, 3)
-        dots = self.verts @ u - t
-        scale = max(float(np.abs(self.verts).max()), 1.0)
-        eps = 1e-12 * scale
-        pts = [self.verts[i] for i in range(len(self.verts)) if abs(dots[i]) <= eps]
-        for i, j in self._edges:
-            di, dj = dots[i], dots[j]
-            if (di < -eps and dj > eps) or (dj < -eps and di > eps):
-                lam = di / (di - dj)
-                pts.append(self.verts[i] + lam * (self.verts[j] - self.verts[i]))
-        if len(pts) < 3:
-            return 0.0
-        basis = _plane_basis(u)
-        planar = np.array(pts) @ basis.T
-        hull = _convex_hull_2d(planar)
-        if hull.shape[0] < 3:
-            return 0.0
-        x, y = hull[:, 0], hull[:, 1]
-        return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)))
+        """Area of the cross-section at <x, u> = t (0 outside the support)."""
+        prof = _spline_profile(self, _unit(u, 3))
+        a, b = prof.domain
+        return float(prof.value(t)) if a <= t <= b else 0.0
 
     def to_json(self):
         return {"variant": "polytope3d",
@@ -454,10 +454,8 @@ class Revolution:
         return powered_integral(self.profile, 1.0)
 
     def centroid(self):
-        total = powered_integral(self.profile, 1.0)
-        first = moment_integral(self.profile, 1.0) / total
         out = np.zeros(self.dim)
-        out[0] = first
+        out[0] = alpha_centroid(self.profile, 1.0)
         return out
 
     def to_json(self):
@@ -472,42 +470,6 @@ def _masked_profile(profile, t, a, b):
         vals[ok] = np.maximum(np.asarray(profile.value(np.clip(t[ok], a, b)),
                                          dtype=float), 0.0)
     return np.where(ok, vals, -1.0)
-
-
-def _plane_basis(u):
-    """Two orthonormal vectors spanning the plane orthogonal to u."""
-    pivot = np.zeros(3)
-    pivot[int(np.argmin(np.abs(u)))] = 1.0
-    e = np.cross(u, pivot)
-    e /= np.linalg.norm(e)
-    f = np.cross(u, e)
-    return np.stack([e, f])
-
-
-def _convex_hull_2d(pts):
-    """Andrew monotone chain; tolerant of duplicates and collinear points."""
-    pts = np.unique(np.round(pts / max(np.abs(pts).max(), 1e-300) * 1e13), axis=0) \
-        * max(np.abs(pts).max(), 1e-300) / 1e13
-    if pts.shape[0] <= 2:
-        return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-
-    def half(points):
-        chain = []
-        for p in points:
-            while len(chain) >= 2:
-                o, a = chain[-2], chain[-1]
-                if (a[0] - o[0]) * (p[1] - o[1]) - (a[1] - o[1]) * (p[0] - o[0]) <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(p)
-        return chain
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -569,35 +531,54 @@ def _simplex_cone_profile(body, u):
     return None
 
 
-def _polygon_profile(verts, u):
-    u = _unit(u, 2)
-    poly = Polytope2D(verts) if not isinstance(verts, Polytope2D) else verts
-    dots = np.sort(poly.verts @ u)
-    a, b = float(dots[0]), float(dots[-1])
-    levels = [a]
-    for d in dots[1:]:
-        if d - levels[-1] > 1e-12 * (b - a):
-            levels.append(float(d))
-    levels[-1] = b
-    chords = [poly.chord_length(u, t) for t in levels]
-    return ConcaveProfile(np.column_stack([levels, chords]))
+def _simplex_volumes(points, idx):
+    """Volumes of the simplices given as rows of vertex indices into points."""
+    edges = points[idx[:, 1:]] - points[idx[:, :1]]
+    return np.abs(np.linalg.det(edges)) / math.factorial(points.shape[1])
 
 
-class PlaneSectionProfile:
-    """Exact cross-section area profile of a 3-polytope along a direction.
+@lru_cache(maxsize=32)
+def _legendre(nodes):
+    return np.polynomial.legendre.leggauss(nodes)
 
-    Piecewise quadratic between vertex levels: evaluation is exact geometry,
-    powered integrals go through adaptive quadrature split at the levels.
+
+class SimplexSplineProfile:
+    """Section profile of a union of simplices: sum_s vol_s M(t; knots_s).
+
+    M(t; y_0, ..., y_n) is the normalised B-spline (unit integral) of degree
+    n - 1 on the sorted vertex projections y_i of a simplex in R^n, so
+    vol_s M is that simplex's section profile (Curry & Schoenberg, 1966).
+    Between consecutive knots of the union the profile is one polynomial of
+    degree n - 1, so an integer power integrates exactly by Gauss-Legendre
+    on each knot interval; other powers go to adaptive quadrature split at
+    the knots. Knot intervals are half-open, [y_i, y_(i+1)), except at the
+    right end b, where the value is the left limit. Knots closer than
+    _KNOT_TIE of the support are snapped to one (the ends to a and b), so
+    projections that should tie but differ by rounding do tie, and a facet
+    orthogonal to u gives its area at the end it lies on.
     """
 
-    integrates_exactly = False
+    integrates_exactly = False  # only at integer powers
 
-    def __init__(self, body, u):
-        self.body = body
-        self.u = _unit(u, 3)
-        dots = body.verts @ self.u
-        self._a, self._b = float(dots.min()), float(dots.max())
-        self._levels = np.unique(dots)
+    def __init__(self, knots, volumes):
+        y = np.sort(np.asarray(knots, dtype=float), axis=1)
+        levels = np.unique(y)
+        first = np.concatenate([[True], np.diff(levels) > _KNOT_TIE * (levels[-1] - levels[0])])
+        self._levels = levels[first]
+        idx = np.searchsorted(self._levels, y, side="right") - 1
+        self._levels[-1] = levels[-1]
+        y = self._levels[idx]
+        keep = y[:, -1] > y[:, 0]  # a simplex thinner than the tie has no mass left
+        self.knots = y = y[keep]
+        self.volumes = np.asarray(volumes, dtype=float)[keep]
+        self.degree = y.shape[1] - 2
+        self._a, self._b = float(self._levels[0]), float(self._levels[-1])
+        self._scale = self.volumes * (self.degree + 1) / (y[:, -1] - y[:, 0])
+        # 1 / (y_(i+k) - y_i) for each recursion order k, 0 on tied knots
+        self._inv = []
+        for k in range(1, self.degree + 1):
+            span = (y[:, k:] - y[:, :-k])[:, :, None]
+            self._inv.append(np.where(span > 0.0, 1.0 / np.where(span > 0.0, span, 1.0), 0.0))
 
     @property
     def domain(self):
@@ -607,99 +588,110 @@ class PlaneSectionProfile:
     def quadrature_breakpoints(self):
         return self._levels
 
+    def _block(self, t):
+        """de Boor-Cox: every simplex's B-spline at the points t, summed."""
+        y, t = self.knots[:, :, None], t[None, None, :]
+        lo, hi = y[:, :-1], y[:, 1:]
+        n = (((lo <= t) & (t < hi)) | ((t >= self._b) & (lo < t) & (t <= hi))).astype(float)
+        for k, inv in enumerate(self._inv, start=1):
+            n = (t - y[:, :-k - 1]) * inv[:, :-1] * n[:, :-1] \
+                + (y[:, k + 1:] - t) * inv[:, 1:] * n[:, 1:]
+        return self._scale @ n[:, 0, :]
+
+    def _sum(self, t):
+        step = max(1, _SPLINE_BLOCK // self.volumes.size)
+        return np.concatenate([self._block(t[i:i + step])
+                               for i in range(0, max(t.size, 1), step)])
+
     def value(self, t):
-        if np.ndim(t) == 0:
-            tt = float(np.clip(t, self._a, self._b))
-            if t < self._a - 1e-12 or t > self._b + 1e-12:
-                raise DomainError(f"t={t} outside support [{self._a}, {self._b}]")
-            return self.body.section_area(self.u, tt)
-        return np.array([self.value(float(ti)) for ti in np.asarray(t, dtype=float)])
+        t = _check_in_domain(t, self.domain)
+        out = self._sum(np.ravel(t)).reshape(np.shape(t))
+        return float(out) if np.ndim(t) == 0 else out
 
     def max_value(self):
-        # area^(1/2) is concave, so the area is unimodal: golden-section search
-        return _unimodal_max(lambda t: self.body.section_area(self.u, t),
-                             self._a, self._b)
+        """f^(1/(n-1)) is concave, so f is unimodal: its maximum lies on one
+        of the two knot intervals beside the largest knot value, at a knot or
+        at a root of f' there."""
+        lv = self._levels
+        vals = self._sum(lv)
+        j = int(np.argmax(vals))
+        best = float(vals[j])
+        cheb = 0.5 + 0.5 * np.cos(np.pi * (np.arange(self.degree + 1) + 0.5) / (self.degree + 1))
+        for i in (j - 1, j):
+            if 0 <= i < lv.size - 1:
+                lo, hi = lv[i], lv[i + 1]
+                ts = lo + (hi - lo) * cheb
+                piece = np.polynomial.Chebyshev.fit(ts, self._sum(ts), self.degree, domain=[lo, hi])
+                roots = np.clip(piece.deriv().roots().real, lo, hi)
+                if roots.size:
+                    best = max(best, float(self._sum(roots).max()))
+        return best
+
+    def _gauss(self, beta, lo, hi, moment):
+        nodes = (self.degree * int(beta) + 1) // 2 + 1  # exact for t f^beta
+        if not float(beta).is_integer() or nodes > _GAUSS_MAX_NODES:
+            return None
+        if not hi > lo:
+            return 0.0
+        x, w = _legendre(nodes)
+        cuts = np.concatenate([[lo], self._levels[(self._levels > lo) & (self._levels < hi)], [hi]])
+        half = 0.5 * np.diff(cuts)[:, None]
+        t = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x
+        g = self._sum(t.ravel()).reshape(t.shape) ** beta
+        return float(np.sum(half * w * (g * t if moment else g)))
 
     def powered_integral_exact(self, beta, lo, hi):
-        return None
+        return self._gauss(beta, lo, hi, False)
 
     def moment_integral_exact(self, beta, lo, hi):
+        return self._gauss(beta, lo, hi, True)
+
+
+def _spline_profile(body, u):
+    """The polytope's section profile along the unit vector u from its
+    simplicial decomposition; None when it has none. Polygons get the hat
+    sum as a ConcaveProfile, which integrates exactly at every power."""
+    parts = body._simplices()
+    if parts is None:
         return None
-
-
-def _unimodal_max(f, a, b, iters=120):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    mid = 0.5 * (a + b)
-    return max(f(mid), f1, f2)
-
-
-def _box_polytope3d(box):
-    lo, hi = box.lo, box.hi
-    v = box.vertices()
-    faces = [(0, 1, 3, 2), (4, 6, 7, 5), (0, 4, 5, 1), (2, 3, 7, 6),
-             (0, 2, 6, 4), (1, 5, 7, 3)]
-    return Polytope3D(v, faces)
+    points, idx = parts
+    prof = SimplexSplineProfile((points @ u)[idx], _simplex_volumes(points, idx))
+    if body.dim > 2:
+        return prof
+    levels = prof.quadrature_breakpoints
+    return ConcaveProfile(np.column_stack([levels, prof.value(levels)]))
 
 
 def exact_section_profile(body, u):
-    """The exact 1-D section profile along u, or None when unsupported."""
+    """The exact 1-D section profile along u, or None when unsupported.
+
+    Balls, bodies of revolution, boxes along a coordinate axis and simplices
+    along a facet normal have closed forms; every other polytope profile is
+    a SimplexSplineProfile (a ConcaveProfile in the plane). Boxes above R^6
+    along other directions have none: their Kuhn triangulation has n!
+    simplices.
+    """
     if isinstance(body, Ball):
         return BallSectionProfile(body.radius, body.dim,
                                   center=float(body.center @ _unit(u, body.dim)))
     if isinstance(body, Revolution):
         sign = body._axis_sign(u)
         return body.profile if sign == 1 else reflect(body.profile)
+    if not isinstance(body, (Box, Simplex, Polytope2D, Polytope3D)):
+        raise ParameterError(f"unknown body type {type(body).__name__}")
+    u = _unit(u, body.dim)
     if isinstance(body, Box):
-        u_hat = _unit(u, body.dim)
-        axis = np.abs(np.abs(u_hat) - 1.0) <= 1e-12
-        if axis.sum() == 1 and np.all(np.abs(u_hat[~axis]) <= 1e-12):
+        axis = np.abs(np.abs(u) - 1.0) <= 1e-12
+        if axis.sum() == 1 and np.all(np.abs(u[~axis]) <= 1e-12):
             i = int(np.argmax(axis))
             others = float(np.prod(np.delete(body.hi - body.lo, i)))
-            a, b = body.support_interval(u_hat)
+            a, b = body.support_interval(u)
             return ConstantProfile(others, a, b)
-        if body.dim == 2:
-            return _polygon_profile(Polytope2D(_rect_ccw(body)), u_hat)
-        if body.dim == 3:
-            return PlaneSectionProfile(_box_polytope3d(body), u_hat)
-        return None
     if isinstance(body, Simplex):
         cone = _simplex_cone_profile(body, u)
         if cone is not None:
             return cone
-        if body.dim == 2:
-            return _polygon_profile(Polytope2D(_ccw_order(body.verts)), u)
-        if body.dim == 3:
-            faces = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-            return PlaneSectionProfile(Polytope3D(body.verts, faces), u)
-        return None
-    if isinstance(body, Polytope2D):
-        return _polygon_profile(body, u)
-    if isinstance(body, Polytope3D):
-        return PlaneSectionProfile(body, u)
-    raise ParameterError(f"unknown body type {type(body).__name__}")
-
-
-def _rect_ccw(box):
-    (x0, y0), (x1, y1) = box.lo, box.hi
-    return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
-
-
-def _ccw_order(verts):
-    c = verts.mean(axis=0)
-    ang = np.arctan2(verts[:, 1] - c[1], verts[:, 0] - c[0])
-    return verts[np.argsort(ang)]
+    return _spline_profile(body, u)
 
 
 def section_volume(body, u, t, mc=None):
@@ -897,9 +889,7 @@ def r_centroid_point(body, u, r, spec=DEFAULT_QUADRATURE, mc=None):
     a, b = body.support_interval(u)
     if r == 0.0:
         return 0.5 * (a + b)
-    prof = section_profile(body, u, mc=mc).profile
-    total = powered_integral(prof, r, spec=spec)
-    lam = moment_integral(prof, r, spec=spec) / total
+    lam = alpha_centroid(section_profile(body, u, mc=mc).profile, r, spec=spec)
     return float(min(max(lam, a), b))
 
 
@@ -973,12 +963,7 @@ def verify_grunbaum_r(body, u, p, r, spec=DEFAULT_QUADRATURE, mc=None, tol=1e-9)
             raise PreconditionError(
                 f"binned profile violates {p}-concavity beyond 3 sigma ({worst:.3e})",
                 witness=worst)
-    a, b = sp.support
-    if r == 0.0:
-        cut = 0.5 * (a + b)
-    else:
-        total_r = powered_integral(sp.profile, r, spec=spec)
-        cut = float(moment_integral(sp.profile, r, spec=spec) / total_r)
+    cut = float(alpha_centroid(sp.profile, r, spec=spec))
     bound = grunbaum_r_bound(p, r)
     if sp.kind == "exact":
         lower = halfspace_fraction(body, u, cut, spec=spec)
@@ -1016,11 +1001,12 @@ def verify_makai_fradelizi(body, u, spec=DEFAULT_QUADRATURE, tol=1e-9):
     u = _unit(u, body.dim)
     sp = section_profile(body, u)
     g1 = float(centroid(body) @ u)
-    ratio = float(evaluate(sp.profile, g1)) / sp.profile.max_value()
+    top = sp.profile.max_value()
+    ratio = float(evaluate(sp.profile, g1)) / top
     bound = classic_bounds(body.dim)["makai_fradelizi"]
     prov = integration_provenance(sp.profile, spec)
     prov["params"] = {"n": body.dim, "u": list(u)}
-    details = {"cut": g1, "max_section": sp.profile.max_value()}
+    details = {"cut": g1, "max_section": top}
     return make_report("makai-fradelizi", ratio, bound.value, tol, prov, details)
 
 

@@ -1,5 +1,8 @@
 import json
+import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -86,6 +89,107 @@ def superlevel_sigma_violation(h, beta, grid_size=512):
     root = np.sqrt(gl.superlevel_masses(h, beta, sigma ** (1.0 / beta)))
     d2 = root[2:] - 2.0 * root[1:-1] + root[:-2]
     return float(d2.max() / root.max())
+
+
+# ---------------------------------------------------------------------------
+# exact rational section profiles of simplices and boxes
+# ---------------------------------------------------------------------------
+
+def divided_difference(nodes, taylor):
+    """[y_0, ..., y_n] g for sorted rational nodes, repeats allowed: on a run
+    of equal nodes the quotient is replaced by taylor(k, y) = g^(k)(y) / k!
+    (Hermite's rule)."""
+    table = [taylor(0, y) for y in nodes]
+    for k in range(1, len(nodes)):
+        table = [taylor(k, nodes[i]) if nodes[i + k] == nodes[i]
+                 else (table[i + 1] - table[i]) / (nodes[i + k] - nodes[i])
+                 for i in range(len(nodes) - k)]
+    return table[0]
+
+
+def _plus_power(t, m):
+    """Taylor coefficients of y -> (y - t)_+^m."""
+    return lambda k, y: math.comb(m, k) * (y - t) ** (m - k) if y > t else Fraction(0)
+
+
+class SimplexSections:
+    """Sections of a simplex along u in exact rationals: the fraction of
+    volume above <x, u> = t is [y_0, ..., y_n] (. - t)_+^n over the vertex
+    projections y_i, and its t-derivative gives the section profile."""
+
+    def __init__(self, verts, u):
+        verts = np.asarray(verts, dtype=float)
+        self.n = verts.shape[1]
+        self.volume = Fraction(abs(float(np.linalg.det(verts[1:] - verts[0])))) \
+            / math.factorial(self.n)
+        self.knots = sorted(Fraction(float(y)) for y in verts @ np.asarray(u, dtype=float))
+
+    def section(self, t):
+        return self.volume * self.n * divided_difference(
+            self.knots, _plus_power(Fraction(t), self.n - 1))
+
+    def lower_fraction(self, c):
+        return 1 - divided_difference(self.knots, _plus_power(Fraction(c), self.n))
+
+
+class BoxSections:
+    """Sections of an axis-aligned box along u (no zero component) in exact
+    rationals, by inclusion-exclusion over the corners of the box spline with
+    widths |u_i| (hi_i - lo_i)."""
+
+    def __init__(self, lo, hi, u):
+        lo, hi, u = (np.asarray(v, dtype=float) for v in (lo, hi, u))
+        self.n = lo.size
+        self.volume = math.prod(Fraction(float(d)) for d in hi - lo)
+        widths = [Fraction(float(w)) for w in np.abs(u) * (hi - lo)]
+        self.start = Fraction(float(np.sum(np.minimum(u * lo, u * hi))))
+        self._norm = math.prod(widths)
+        self._corners = [(sum(s, Fraction(0)), (-1) ** k)
+                         for k in range(self.n + 1) for s in combinations(widths, k)]
+        self.knots = sorted({self.start + c for c, _ in self._corners})
+
+    def _spline(self, x, m):
+        return sum(sg * (x - c) ** m for c, sg in self._corners if x > c) / self._norm
+
+    def section(self, t):
+        return self.volume * self._spline(Fraction(t) - self.start, self.n - 1) \
+            / math.factorial(self.n - 1)
+
+    def lower_fraction(self, c):
+        return self._spline(Fraction(c) - self.start, self.n) / math.factorial(self.n)
+
+
+@lru_cache(maxsize=None)
+def _open_rule(degree):
+    """Nodes and weights on [0, 1] of the interpolatory rule on degree + 1
+    equally spaced interior points, exact for polynomials up to that degree."""
+    xs = [Fraction(2 * k + 1, 2 * degree + 2) for k in range(degree + 1)]
+    weights = []
+    for k, xk in enumerate(xs):
+        poly = [Fraction(1)]  # the Lagrange basis polynomial, lowest power first
+        for j, xj in enumerate(xs):
+            if j != k:
+                poly = [(lower - xj * same) / (xk - xj)
+                        for lower, same in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
+        weights.append(sum(c / (i + 1) for i, c in enumerate(poly)))
+    return xs, weights
+
+
+def exact_section_integrals(sections, e, lo=None, hi=None):
+    """int f^e and int t f^e over [lo, hi] (default: the support), exactly,
+    for integer e: f is one polynomial of degree n - 1 between knots."""
+    knots = sections.knots
+    lo = knots[0] if lo is None else Fraction(lo)
+    hi = knots[-1] if hi is None else Fraction(hi)
+    cuts = [lo] + [k for k in knots if lo < k < hi] + [hi]
+    xs, weights = _open_rule((sections.n - 1) * e + 1)
+    mass = moment = Fraction(0)
+    for p, q in zip(cuts[:-1], cuts[1:]):
+        for x, w in zip(xs, weights):
+            t = p + (q - p) * x
+            g = (q - p) * w * sections.section(t) ** e
+            mass, moment = mass + g, moment + t * g
+    return mass, moment
 
 
 def random_convex_polygon(rng, n_pts=12):

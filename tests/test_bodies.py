@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import grunlab as gl
+from grunlab.bodies import SimplexSplineProfile
 from grunlab.errors import (
     DegenerateBodyError,
     DomainError,
@@ -14,6 +15,9 @@ from grunlab.errors import (
 )
 
 from conftest import (
+    BoxSections,
+    SimplexSections,
+    exact_section_integrals,
     load_fixture,
     random_convex_polygon,
     random_polytope3d,
@@ -64,7 +68,7 @@ def test_tetra_general_direction_matches_quad_volume():
     prof = gl.exact_section_profile(tet, u)
     a, b = prof.domain
     vol = gl.powered_integral(prof, 1.0)
-    assert vol == pytest.approx(tet.volume(), rel=1e-9)
+    assert vol == pytest.approx(tet.volume(), rel=1e-12)
 
 
 def test_polygon_profile_is_exact_chord():
@@ -86,7 +90,7 @@ def test_cube_diagonal_section():
     prof = gl.exact_section_profile(box, u)
     mid = 0.5 * sum(prof.domain)
     assert prof.value(mid) == pytest.approx(3.0 * np.sqrt(3.0) / 4.0, rel=1e-12)
-    assert gl.powered_integral(prof, 1.0) == pytest.approx(1.0, rel=1e-9)
+    assert gl.powered_integral(prof, 1.0) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_fubini_identity_on_fixtures(cone3):
@@ -150,7 +154,7 @@ def test_r1_centroid_equals_volume_centroid():
     u3 = rng.normal(size=3)
     u3 /= np.linalg.norm(u3)
     assert gl.r_centroid_point(body, u3, 1.0) == pytest.approx(
-        float(gl.centroid(body) @ u3), rel=1e-7)
+        float(gl.centroid(body) @ u3), rel=1e-12)
 
 
 def test_halfspace_fraction_examples(cone3):
@@ -273,7 +277,7 @@ def test_rigid_motion_invariance():
         rep = gl.verify_minkowski_radon(moved, rot @ u)
         assert rep.ratio == pytest.approx(rep0.ratio, abs=1e-9)
         mf = gl.verify_makai_fradelizi(moved, rot @ u)
-        assert mf.ratio == pytest.approx(mf0.ratio, abs=1e-7)
+        assert mf.ratio == pytest.approx(mf0.ratio, abs=1e-12)
 
 
 def test_scaling_invariance():
@@ -342,18 +346,121 @@ def test_mc_section_profile_and_grunbaum(cone3):
     assert rep.provenance["seed"] == 99
 
 
-def test_mc_required_for_high_dimensional_polytopes():
+def test_high_dimensional_polytopes_exact_equals_mc():
     simplex4 = gl.Simplex(np.vstack([np.zeros(4), np.eye(4)]))
-    u = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
-    assert gl.exact_section_profile(simplex4, u) is None
-    with pytest.raises(GrunlabError):
-        gl.section_profile(simplex4, u)
+    u = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)  # tied vertex projections
+    assert isinstance(gl.exact_section_profile(simplex4, u), SimplexSplineProfile)
+    exact = gl.r_centroid_point(simplex4, u, 1.0)
+    assert exact == pytest.approx(float(simplex4.centroid() @ u), abs=1e-12)
     lam = gl.r_centroid_point(simplex4, u, 1.0, mc=gl.McSpec(seed=3, samples=50_000))
-    assert lam == pytest.approx(float(simplex4.centroid() @ u), abs=0.02)
+    assert lam == pytest.approx(exact, abs=0.02)
     # along a facet normal the closed form still applies in R^4
     prof = gl.exact_section_profile(simplex4, np.array([1.0, 0, 0, 0]))
     assert isinstance(prof, gl.DecreasingPowerProfile)
     assert prof.q == 3.0
+    # a box above R^6 along a generic direction still needs Monte Carlo
+    box7, u7 = gl.Box(np.zeros(7), np.ones(7)), np.arange(1.0, 8.0)
+    assert gl.exact_section_profile(box7, u7) is None
+    with pytest.raises(GrunlabError):
+        gl.section_profile(box7, u7)
+
+
+# ---------------------------------------------------------------------------
+# polytope profiles against exact rational sections
+# ---------------------------------------------------------------------------
+
+def _oracle_cases():
+    rng = np.random.default_rng(43)
+    cases = []
+    for n in range(2, 7):
+        verts = rng.normal(size=(n + 1, n))
+        u = _rand_unit(rng, n)
+        cases.append((f"simplex{n}", gl.Simplex(verts), u, SimplexSections(verts, u)))
+    for n in range(3, 7):
+        lo = 0.5 * rng.normal(size=n)
+        hi = lo + rng.uniform(0.5, 1.5, n)
+        u = _rand_unit(rng, n)
+        cases.append((f"box{n}", gl.Box(lo, hi), u, BoxSections(lo, hi, u)))
+    simplex4 = np.vstack([np.zeros(4), np.eye(4)])
+    u = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    cases.append(("simplex4-tied", gl.Simplex(simplex4), u, SimplexSections(simplex4, u)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name,body,u,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_polytope_profile_matches_rational_sections(name, body, u, oracle):
+    prof = gl.exact_section_profile(body, u)
+    expected = SimplexSplineProfile if body.dim > 2 else gl.ConcaveProfile
+    assert isinstance(prof, expected)
+    a, b = prof.domain
+    assert (a, b) == pytest.approx((float(oracle.knots[0]), float(oracle.knots[-1])),
+                                   abs=1e-15 * (b - a))
+    ts = np.linspace(a, b, 13)
+    want = np.array([float(oracle.section(t)) for t in ts])
+    assert np.abs(prof.value(ts) - want).max() <= 1e-12 * want.max()
+    assert prof.max_value() >= want.max() * (1.0 - 1e-12)
+    for c in ts[1:-1:3]:
+        assert gl.halfspace_fraction(body, u, c) == pytest.approx(
+            float(oracle.lower_fraction(c)), abs=1e-12)
+    mass, moment = exact_section_integrals(oracle, 1)
+    assert gl.r_centroid_point(body, u, 1.0) == pytest.approx(
+        float(moment / mass), abs=1e-12 * (b - a))
+
+
+# box6 is left out: its 63 knot intervals make the rational integrals take
+# seconds; simplex6 covers integrals in R^6
+INTEGRAL_CASES = [c for c in ORACLE_CASES if c[0] != "box6"]
+
+
+@pytest.mark.parametrize("name,body,u,oracle", INTEGRAL_CASES, ids=[c[0] for c in INTEGRAL_CASES])
+def test_polytope_integer_powers_match_rational_integrals(name, body, u, oracle):
+    prof = gl.exact_section_profile(body, u)
+    a, b = prof.domain
+    part = (a + 0.3 * (b - a), a + 0.8 * (b - a))
+    for beta in (1, 2, 3):
+        for interval in (None, part):
+            mass, moment = exact_section_integrals(oracle, beta, *(interval or ()))
+            got = gl.powered_integral(prof, float(beta), interval)
+            assert got == pytest.approx(float(mass), rel=1e-12)
+            scale = float(mass) * max(abs(a), abs(b))
+            assert abs(gl.moment_integral(prof, float(beta), interval) - float(moment)) \
+                <= 1e-12 * scale
+
+
+def test_spline_profile_non_integer_power_uses_quadrature():
+    rng = np.random.default_rng(47)
+    body = gl.Simplex(rng.normal(size=(4, 3)))
+    u = _rand_unit(rng, 3)
+    prof = gl.exact_section_profile(body, u)
+    assert prof.powered_integral_exact(1.5, *prof.domain) is None
+    a, b = prof.domain
+    want = quad(lambda t: prof.value(t) ** 1.5, a, b, points=prof.quadrature_breakpoints,
+                epsabs=1e-13, limit=200)[0]
+    assert gl.powered_integral(prof, 1.5) == pytest.approx(want, rel=1e-9)
+
+
+def test_spline_profile_takes_facet_area_at_the_ends():
+    # frustum: base [0, 2]^2 at height 0, top [0.5, 1.5]^2 at height 1, so
+    # f(s) = (2 - s)^2 along the axis; rotate so the facets are not axis-aligned
+    base = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0]]
+    top = [[0.5, 0.5, 1], [1.5, 0.5, 1], [1.5, 1.5, 1], [0.5, 1.5, 1]]
+    faces = [[0, 1, 2, 3], [4, 5, 6, 7], [0, 1, 5, 4], [1, 2, 6, 5], [2, 3, 7, 6],
+             [3, 0, 4, 7]]
+    rot = rotation_matrix_3d(np.random.default_rng(53))
+    body = gl.Polytope3D(np.array(base + top, dtype=float) @ rot.T, faces)
+    u = rot @ E1_3[[2, 1, 0]]
+    prof = gl.exact_section_profile(body, u)
+    a, b = prof.domain
+    assert prof.value(b) == pytest.approx(1.0, rel=1e-12)
+    assert prof.value(a) == pytest.approx(4.0, rel=1e-12)
+    assert prof.value(a + 0.25 * (b - a)) == pytest.approx(1.75 ** 2, rel=1e-12)
+    assert prof.max_value() == pytest.approx(4.0, rel=1e-12)
+    assert body.section_area(u, b) == pytest.approx(1.0, rel=1e-12)
+    assert body.section_area(u, b + 0.1) == 0.0
+    assert gl.powered_integral(prof, 1.0) == pytest.approx(7.0 / 3.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,25 @@ def test_verify_body_makai_ball(capsys):
     assert json.loads(out)["ratio"] == pytest.approx(1.0, rel=1e-9)
 
 
+def test_verify_body_simplex4_is_exact_without_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GRUNLAB_SEED", raising=False)
+    body = tmp_path / "simplex4.json"
+    verts = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    body.write_text(json.dumps({"variant": "simplex", "vertices": verts}))
+    code, out, _ = run(capsys, "verify-body", str(body), "--theorem", "grunbaum-r",
+                       "--u", "1,1,0,0", "--p", "0.3333333333333333", "--r", "1",
+                       "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["pass"] is True
+    assert data["provenance"]["kind"] != "mc"
+    assert data["details"]["cut"] == pytest.approx(0.2 * 2 ** 0.5, rel=1e-12)
+    code, out, _ = run(capsys, "verify-body", str(body), "--theorem", "makai-fradelizi",
+                       "--u", "1,1,0,0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_verify_body_grunbaum_missing_pr(capsys):
     code, _, err = run(capsys, "verify-body", FIXTURES["cone"], "--theorem", "grunbaum-r",
                        "--u", "1,0,0")
