@@ -46,6 +46,7 @@ from .profiles import (
     p_concavity_check,
     power_profile,
     powered_integral,
+    powered_split,
     profile_from_json,
     reflect,
     tail_mass_ratio,
@@ -558,8 +559,6 @@ class SimplexSplineProfile:
     orthogonal to u gives its area at the end it lies on.
     """
 
-    integrates_exactly = False  # only at integer powers
-
     def __init__(self, knots, volumes):
         y = np.sort(np.asarray(knots, dtype=float), axis=1)
         levels = np.unique(y)
@@ -665,21 +664,23 @@ def _spline_profile(body, u):
 def exact_section_profile(body, u):
     """The exact 1-D section profile along u, or None when unsupported.
 
-    Balls, bodies of revolution, boxes along a coordinate axis and simplices
-    along a facet normal have closed forms; every other polytope profile is
+    Balls, bodies of revolution, boxes along a coordinate axis, simplices
+    along a facet normal and every body in R^1 (a segment, whose sections are
+    points: the constant 1) have closed forms; every other polytope profile is
     a SimplexSplineProfile (a ConcaveProfile in the plane). Boxes above R^6
     along other directions have none: their Kuhn triangulation has n!
     simplices.
     """
-    if isinstance(body, Ball):
-        return BallSectionProfile(body.radius, body.dim,
-                                  center=float(body.center @ _unit(u, body.dim)))
     if isinstance(body, Revolution):
         sign = body._axis_sign(u)
         return body.profile if sign == 1 else reflect(body.profile)
-    if not isinstance(body, (Box, Simplex, Polytope2D, Polytope3D)):
+    if not isinstance(body, (Ball, Box, Simplex, Polytope2D, Polytope3D)):
         raise ParameterError(f"unknown body type {type(body).__name__}")
     u = _unit(u, body.dim)
+    if body.dim == 1:  # a segment: every section is one point
+        return ConstantProfile(1.0, *body.support_interval(u))
+    if isinstance(body, Ball):
+        return BallSectionProfile(body.radius, body.dim, center=float(body.center @ u))
     if isinstance(body, Box):
         axis = np.abs(np.abs(u) - 1.0) <= 1e-12
         if axis.sum() == 1 and np.all(np.abs(u[~axis]) <= 1e-12):
@@ -755,8 +756,6 @@ def mc_chunks(body, mc):
 
 class HistogramProfile:
     """Piecewise-constant binned profile (the Monte Carlo sample grid)."""
-
-    integrates_exactly = True
 
     def __init__(self, edges, values):
         self.edges = np.asarray(edges, dtype=float)
@@ -966,10 +965,11 @@ def verify_grunbaum_r(body, u, p, r, spec=DEFAULT_QUADRATURE, mc=None, tol=1e-9)
     cut = float(alpha_centroid(sp.profile, r, spec=spec))
     bound = grunbaum_r_bound(p, r)
     if sp.kind == "exact":
-        lower = halfspace_fraction(body, u, cut, spec=spec)
+        total, right = powered_split(sp.profile, 1.0, cut, spec=spec)
+        lower = 1.0 - right / total
         sigma = 0.0
         tolerance = tol
-        prov = integration_provenance(sp.profile, spec)
+        prov = integration_provenance(sp.profile, (r, 1.0), spec)
     else:
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
@@ -1004,7 +1004,7 @@ def verify_makai_fradelizi(body, u, spec=DEFAULT_QUADRATURE, tol=1e-9):
     top = sp.profile.max_value()
     ratio = float(evaluate(sp.profile, g1)) / top
     bound = classic_bounds(body.dim)["makai_fradelizi"]
-    prov = integration_provenance(sp.profile, spec)
+    prov = integration_provenance(sp.profile, (1.0,), spec)
     prov["params"] = {"n": body.dim, "u": list(u)}
     details = {"cut": g1, "max_section": top}
     return make_report("makai-fradelizi", ratio, bound.value, tol, prov, details)

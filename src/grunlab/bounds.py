@@ -140,7 +140,7 @@ def verify_functional(h, alpha, beta, spec=DEFAULT_QUADRATURE, tol=BOUND_TOL):
     _require_concave(h)
     ratio, cut = _tail_ratio_cut(h, alpha, beta, spec)
     bound = functional_bound(alpha, beta)
-    prov = integration_provenance(h, spec)
+    prov = integration_provenance(h, (alpha, beta), spec)
     prov["params"] = {"alpha": alpha, "beta": beta}
     details = {"cut": cut, "regime": bound.regime}
     return make_report("functional-tail", ratio, bound.value, tol, prov, details)

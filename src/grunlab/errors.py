@@ -34,7 +34,8 @@ class PreconditionError(GrunlabError, ValueError):
 
 
 class ConvergenceError(GrunlabError, RuntimeError):
-    """Adaptive quadrature did not reach the requested tolerance.
+    """An iterative integral did not reach its tolerance: adaptive quadrature,
+    or the incomplete beta continued fraction of a ball section.
 
     The best available estimate is kept so callers can decide whether to
     accept it anyway.

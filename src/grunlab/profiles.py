@@ -10,7 +10,7 @@ interval [a, b]:
     tail-mass ratio   I_beta(h; g_alpha(h), b) / I_beta(h; a, b)
 
 Piecewise-linear profiles integrate through one segment kernel, shared with
-the extremal search; power laws have closed forms; ball sections need quadrature.
+the extremal search; power laws and ball sections have closed forms.
 All profiles are immutable after construction and all operations are pure.
 """
 
@@ -24,6 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConvergenceError,
     DegenerateProfileError,
     DomainError,
     ParameterError,
@@ -163,8 +164,6 @@ class PiecewiseLinear:
     concave profiles.
     """
 
-    integrates_exactly = True
-
     def __init__(self, breakpoints):
         pts = np.asarray(breakpoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
@@ -208,11 +207,15 @@ class PiecewiseLinear:
         return ts, np.interp(ts, self.ts, self._unit)
 
     def powered_integral_exact(self, beta, lo, hi):
+        if not hi > lo:
+            return 0.0
         ts, hs = self._restricted(lo, hi)
         mass, _ = _segments(hs[:-1], hs[1:], np.diff(ts), beta, False)
         return float(mass.sum()) * self._top ** beta
 
     def moment_integral_exact(self, beta, lo, hi):
+        if not hi > lo:
+            return 0.0
         ts, hs = self._restricted(lo, hi)
         return float(_mass_moment(ts, hs[None], beta)[1][0]) * self._top ** beta
 
@@ -251,7 +254,6 @@ class AnalyticProfile:
     """Base for closed-form profile families; subclasses fix the formula."""
 
     kind = None
-    integrates_exactly = True
 
     @property
     def domain(self):
@@ -399,12 +401,15 @@ class IncreasingPowerProfile(_PowerLawProfile):
 class BallSectionProfile(AnalyticProfile):
     """Section-volume profile of a Euclidean ball in R^dim.
 
-    h(t) = kappa_{dim-1} (radius^2 - (t - center)^2)^{(dim-1)/2}; integrated
-    by adaptive quadrature (no elementary antiderivative for general dim).
+    h(t) = kappa_{dim-1} (radius^2 - (t - center)^2)^{(dim-1)/2}. With
+    x = (t - center) / radius and g = (dim - 1) beta / 2, h^beta is
+    kappa^beta radius^(2g) (1 - x^2)^g, so every powered mass is a difference
+    of incomplete beta integrals B_y(g + 1, g + 1) at y = (1 + x) / 2 (see
+    _ball_tail) and every moment is center times the mass plus an elementary
+    odd term, exact on every sub-interval at every beta.
     """
 
     kind = "ball-section"
-    integrates_exactly = False
 
     def __init__(self, radius, dim, center=0.0):
         if not radius > 0.0:
@@ -428,8 +433,79 @@ class BallSectionProfile(AnalyticProfile):
     def max_value(self):
         return self._kappa * self.radius ** (self.dim - 1)
 
+    def _ends(self, t):
+        """(y, 1 - y) at t, y = (t - a) / (2 radius), each side measured from
+        its own end of the domain so that it is exactly 0 there."""
+        a, b = self.domain
+        w = 2.0 * self.radius
+        return max(t - a, 0.0) / w, max(b - t, 0.0) / w
+
+    def _scale(self, beta, e):
+        """kappa^beta radius^(2g + 1) for the index e = g + 1."""
+        return self._kappa ** beta * self.radius ** (2.0 * e - 1.0)
+
+    def powered_integral_exact(self, beta, lo, hi):
+        if not hi > lo:
+            return 0.0
+        e = 0.5 * (self.dim - 1) * beta + 1.0
+        (p0, q0), (p1, q1) = self._ends(lo), self._ends(hi)
+        if p1 <= 0.5:  # left of the centre: two left tails
+            unit = _ball_tail(p1, q1, e) - _ball_tail(p0, q0, e)
+        elif q0 <= 0.5:  # right of the centre: two right tails
+            unit = _ball_tail(q0, p0, e) - _ball_tail(q1, p1, e)
+        else:  # across the centre: the whole less each side's own tail
+            unit = 2.0 * _ball_tail(0.5, 0.5, e) - _ball_tail(p0, q0, e) - _ball_tail(q1, p1, e)
+        return max(unit, 0.0) * self._scale(beta, e)
+
+    def moment_integral_exact(self, beta, lo, hi):
+        if not hi > lo:
+            return 0.0
+        e = 0.5 * (self.dim - 1) * beta + 1.0
+        (p0, q0), (p1, q1) = self._ends(lo), self._ends(hi)
+        # int x (1 - x^2)^g dx = -(1 - x^2)^(g + 1) / (2 (g + 1)), with 1 - x^2 = 4 y (1 - y)
+        odd = ((4.0 * p0 * q0) ** e - (4.0 * p1 * q1) ** e) / (2.0 * e)
+        return (self.center * self.powered_integral_exact(beta, lo, hi)
+                + odd * self.radius * self._scale(beta, e))
+
     def _params(self):
         return {"radius": self.radius, "dim": self.dim, "center": self.center}
+
+
+_BETA_CF_TINY = 1e-300
+_BETA_CF_EPS = 4e-16
+_BETA_CF_MAX_ITER = 10_000  # about 0.9 sqrt(e) iterations at y = 1/2
+
+
+def _ball_tail(y, z, e):
+    """int_{-1}^{2y - 1} (1 - x^2)^(e - 1) dx for y <= 1/2 and z = 1 - y.
+
+    It is 2^(2e - 1) B(e, e) I_y(e, e); with the continued fraction of the
+    regularized incomplete beta I_y(e, e), evaluated by the modified Lentz
+    method, the complete beta function cancels and the tail is
+    (4 y z)^e / (2 e) times the fraction. The fraction converges fast for
+    y <= 1/2, which is why callers measure each tail from its own end (by
+    symmetry, I_y(e, e) = 1 - I_(1-y)(e, e)). Raises ConvergenceError past
+    _BETA_CF_MAX_ITER iterations.
+    """
+    if y <= 0.0:
+        return 0.0
+    lead = (4.0 * y * z) ** e / (2.0 * e)
+    c, d = 1.0, 1.0 - 2.0 * e * y / (e + 1.0)
+    d = 1.0 / (d if abs(d) > _BETA_CF_TINY else _BETA_CF_TINY)
+    frac = d
+    for m in range(1, _BETA_CF_MAX_ITER + 1):
+        for num in (m * (e - m) * y / ((e + 2.0 * m - 1.0) * (e + 2.0 * m)),
+                    -(e + m) * (2.0 * e + m) * y / ((e + 2.0 * m) * (e + 2.0 * m + 1.0))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > _BETA_CF_TINY else _BETA_CF_TINY)
+            c = 1.0 + num / c
+            c = c if abs(c) > _BETA_CF_TINY else _BETA_CF_TINY
+            frac *= c * d
+        if abs(c * d - 1.0) <= _BETA_CF_EPS:
+            return lead * frac
+    raise ConvergenceError(
+        f"incomplete beta fraction at index {e:g} did not converge in "
+        f"{_BETA_CF_MAX_ITER} iterations", best_estimate=lead * frac)
 
 
 class PowerProfile:
@@ -444,7 +520,6 @@ class PowerProfile:
             raise ParameterError("exponent must be positive")
         self.base = base
         self.exponent = float(exponent)
-        self.integrates_exactly = getattr(base, "integrates_exactly", False)
 
     @property
     def domain(self):
@@ -461,13 +536,9 @@ class PowerProfile:
         return self.base.max_value() ** self.exponent
 
     def powered_integral_exact(self, beta, lo, hi):
-        if not self.integrates_exactly:
-            return None
         return self.base.powered_integral_exact(beta * self.exponent, lo, hi)
 
     def moment_integral_exact(self, beta, lo, hi):
-        if not self.integrates_exactly:
-            return None
         return self.base.moment_integral_exact(beta * self.exponent, lo, hi)
 
     def __repr__(self):
@@ -676,9 +747,16 @@ def tail_mass_ratio(h, alpha, beta, spec=DEFAULT_QUADRATURE):
     return _tail_ratio_cut(h, alpha, beta, spec)[0]
 
 
-def integration_provenance(h, spec=DEFAULT_QUADRATURE):
-    """Describe how integrals of this profile are computed (for reports)."""
-    if getattr(h, "integrates_exactly", False):
+def integration_provenance(h, powers, spec=DEFAULT_QUADRATURE):
+    """Describe how a report's integrals of h at these powers were computed.
+
+    "exact" when the profile's closed forms give both the mass and the
+    moment at every power (probed on the empty interval at the left end,
+    which costs no integration); otherwise adaptive quadrature served some.
+    """
+    a = h.domain[0]
+    if all(h.powered_integral_exact(p, a, a) is not None
+           and h.moment_integral_exact(p, a, a) is not None for p in powers):
         return {"kind": "exact"}
     return {"kind": "quadrature", "abs_tol": spec.abs_tol}
 

@@ -1,5 +1,7 @@
 """Bodies: supports, sections, centroids, verifiers, revolution round trips."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -183,6 +185,75 @@ def test_verify_grunbaum_r_ball2():
     rep = gl.verify_grunbaum_r(gl.Ball([0.0, 0.0], 1.0), [0.0, 1.0], 1.0, 1.0)
     assert rep.passed
     assert rep.ratio == pytest.approx(0.5, rel=1e-8)
+
+
+def test_verify_grunbaum_r_off_centre_disk_is_exact():
+    rep = gl.verify_grunbaum_r(gl.Ball([1.0, 0.0], 1.0), [1.0, 0.0], 1.0, 1.0)
+    assert rep.passed
+    assert rep.details["cut"] == 1.0
+    assert abs(rep.details["lower_fraction"] - 0.5) <= 1e-14
+
+
+def test_verify_grunbaum_r_off_centre_disk_below_r_one_is_fast():
+    start = time.perf_counter()
+    rep = gl.verify_grunbaum_r(gl.Ball([-1.0, 0.0], 1.3), [1.0, 0.0], 1.0, 0.5)
+    assert time.perf_counter() - start < 1.0
+    assert rep.passed
+    assert rep.details["cut"] == pytest.approx(-1.0, abs=1e-15)
+    assert abs(rep.details["lower_fraction"] - 0.5) <= 1e-14
+
+
+def test_ball_integrals_never_reach_adaptive_simpson(monkeypatch):
+    calls = []
+    simpson = gl.profiles.adaptive_simpson
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return simpson(*args, **kwargs)
+
+    monkeypatch.setattr(gl.profiles, "adaptive_simpson", counted)
+    rng = np.random.default_rng(61)
+    h = gl.BallSectionProfile(1.3, 5, center=0.4)
+    for beta in (1.0 / 3.0, 1.0, 2.5):
+        gl.powered_integral(h, beta, (0.0, 1.1))
+        gl.moment_integral(h, beta, (-0.5, 0.2))
+        gl.tail_mass_ratio(h, beta, 1.0)
+        gl.tail_masses(h, beta, [-0.3, 0.5])
+        gl.tail_mass_ratio(gl.power_profile(h, 0.5), beta, 1.0)
+    for n in (2, 3, 6):
+        ball = gl.Ball(rng.normal(size=n), 1.0)
+        gl.verify_grunbaum_r(ball, _rand_unit(rng, n), 1.0 / (n - 1), 0.5)
+        gl.verify_makai_fradelizi(ball, _rand_unit(rng, n))
+    gl.verify_grunbaum_r(gl.revolve(gl.BallSectionProfile(1.0, 4), 4), np.eye(4)[0], 1.0 / 3, 2.0)
+    assert not calls
+    spline = gl.exact_section_profile(gl.Simplex(rng.normal(size=(4, 3))), _rand_unit(rng, 3))
+    gl.powered_integral(spline, 1.5)
+    assert calls  # the counter does see quadrature where it runs
+
+
+def test_provenance_names_the_route_at_the_powers_used():
+    rng = np.random.default_rng(67)
+    ball = gl.Ball(rng.normal(size=3), 1.2)
+    for r in (0.5, 2.0):
+        rep = gl.verify_grunbaum_r(ball, _rand_unit(rng, 3), 0.5, r)
+        assert rep.provenance["kind"] == "exact"
+    simplex = gl.Simplex(rng.normal(size=(5, 4)))
+    u = _rand_unit(rng, 4)
+    assert gl.verify_grunbaum_r(simplex, u, 1.0 / 3, 1.0).provenance["kind"] == "exact"
+    prov = gl.verify_grunbaum_r(simplex, u, 1.0 / 3, 0.5).provenance
+    assert (prov["kind"], prov["abs_tol"]) == ("quadrature", 1e-10)
+
+
+@pytest.mark.parametrize("body", [gl.Simplex([[0.0], [1.0]]), gl.Ball([0.5], 0.5),
+                                  gl.Box([0.0], [1.0])], ids=["simplex", "ball", "box"])
+def test_bodies_in_r1_have_a_constant_profile(body):
+    for u in ([1.0], [-2.0]):
+        prof = gl.exact_section_profile(body, u)
+        assert isinstance(prof, gl.ConstantProfile) and prof.c == 1.0
+        a, b = gl.support_interval(body, u)
+        assert gl.halfspace_fraction(body, u, 0.5 * (a + b)) == 0.5
+    rep = gl.verify_grunbaum_r(body, [1.0], 1.0, 1.0)
+    assert rep.passed and rep.details["cut"] == 0.5
 
 
 def test_verify_grunbaum_r_cone_midpoint(cone3):

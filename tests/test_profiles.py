@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 import grunlab as gl
@@ -141,6 +142,65 @@ def test_ball_section_profile_against_quad_oracle():
     h = gl.BallSectionProfile(1.0, 3, center=0.0)
     ref, _ = quad(lambda t: float(h.value(t)) ** 1.5, -1.0, 0.6)
     assert gl.powered_integral(h, 1.5, (-1.0, 0.6)) == pytest.approx(ref, rel=1e-8)
+
+
+BALL_BETAS = (1.0 / 3.0, 0.5, 1.0, 2.0, 3.0, 7.3)
+# sub-intervals of [-1, 1] in x = (t - center) / radius: near the left end,
+# across the centre, near the right end, and the whole support
+BALL_INTERVALS = ((-1.0, -0.98), (-0.999, -0.6), (-0.7, 0.4), (-0.05, 0.03),
+                  (0.6, 0.999), (0.97, 1.0), (-1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_ball_section_integrals_match_incomplete_beta_and_quad(n):
+    rng = np.random.default_rng(100 + n)
+    radius, center = rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)
+    h = gl.BallSectionProfile(radius, n, center)
+    kappa = math.pi ** ((n - 1) / 2) / math.gamma((n - 1) / 2 + 1)
+    for beta in BALL_BETAS:
+        g = (n - 1) * beta / 2
+        scale = kappa ** beta * radius ** (2 * g + 1)
+        total = scale * 2.0 ** (2 * g + 1) * special.beta(g + 1, g + 1)
+        assert gl.powered_integral(h, beta) == pytest.approx(total, rel=1e-13)
+        for x0, x1 in BALL_INTERVALS:
+            lo, hi = center + radius * x0, center + radius * x1
+            want = total * (special.betainc(g + 1, g + 1, (1 + x1) / 2)
+                            - special.betainc(g + 1, g + 1, (1 + x0) / 2))
+            assert abs(gl.powered_integral(h, beta, (lo, hi)) - want) <= 1e-13 * total
+            # at a touched end, the fractional part of the exponent of (1 + x)^g
+            # or (1 - x)^g goes to quad's algebraic weight; the rest is smooth
+            w0, w1 = (g % 1.0 if x0 == -1.0 else 0.0), (g % 1.0 if x1 == 1.0 else 0.0)
+            size = total * (abs(center) + radius)
+            want_m = quad(lambda x: (center + radius * x) * scale * (1 + x) ** (g - w0)
+                          * (1 - x) ** (g - w1), x0, x1, weight="alg", wvar=(w0, w1),
+                          epsabs=1e-14 * size, epsrel=0.0, limit=200)[0]
+            assert abs(gl.moment_integral(h, beta, (lo, hi)) - want_m) <= 1e-13 * size
+
+
+def test_ball_section_large_index_tails_converge():
+    # n = 3 and beta = g: the index g + 1 reaches 501
+    h = gl.BallSectionProfile(1.0, 3, 0.0)
+    for g in (50.0, 200.0, 500.0):
+        log_total = g * math.log(math.pi) + (2 * g + 1) * math.log(2.0) \
+            + special.betaln(g + 1, g + 1)
+        total = gl.powered_integral(h, g)
+        assert math.log(total) == pytest.approx(log_total, abs=1e-12)
+        for x in (-0.3, -0.02, 0.01, 0.1):
+            tail = gl.powered_integral(h, g, (x, 1.0))
+            assert abs(tail / total - special.betainc(g + 1, g + 1, (1 - x) / 2)) <= 1e-13
+    with pytest.raises(gl.ConvergenceError) as err:
+        gl.powered_integral(h, 1e12)
+    assert err.value.best_estimate > 0.0
+
+
+@pytest.mark.parametrize("radius,n,center", [(1.0, 2, 1.0), (1.3, 2, -1.0), (0.7, 6, 0.37),
+                                             (2.5, 11, -3.1)])
+def test_ball_section_centroid_is_the_centre(radius, n, center):
+    h = gl.BallSectionProfile(radius, n, center)
+    for r in (0.5, 1.0, 3.0):
+        # the odd part of the moment vanishes exactly on the whole support
+        assert gl.moment_integral(h, r) == center * gl.powered_integral(h, r)
+        assert abs(gl.alpha_centroid(h, r) - center) <= math.ulp(center)
 
 
 def test_increasing_power_profile_matches_quad():
