@@ -2,7 +2,9 @@
 
 Rejection sampling in the bounding box with counter-derived substreams:
 a fixed seed reproduces every number exactly, regardless of how the sample
-budget would be split across workers.
+budget would be split across workers. Each chunk of points is held
+coordinate-major, one contiguous row per coordinate, while it is tested and
+binned; that layout changes no point and no seeded value.
 """
 
 import json

@@ -57,6 +57,7 @@ from .errors import (
     DegenerateBodyError,
     DegenerateProfileError,
     DomainError,
+    FloatRangeError,
     GrunlabError,
     ParameterError,
     PreconditionError,

@@ -39,6 +39,7 @@ from .profiles import (
     DecreasingPowerProfile,
     DEFAULT_QUADRATURE,
     IncreasingPowerProfile,
+    _centroid_split,
     _check_in_domain,
     alpha_centroid,
     evaluate,
@@ -46,7 +47,6 @@ from .profiles import (
     p_concavity_check,
     power_profile,
     powered_integral,
-    powered_split,
     profile_from_json,
     reflect,
     tail_mass_ratio,
@@ -99,8 +99,12 @@ class Ball:
         return c - self.radius, c + self.radius
 
     def contains(self, pts):
-        d = pts - self.center
-        return np.einsum("ij,ij->i", d, d) <= self.radius ** 2
+        sq = np.subtract(pts.T, self.center[:, None], order="C")
+        sq *= sq
+        # even and odd coordinates summed apart, then together: the order in
+        # which numpy's einsum("ij,ij->i", d, d) sums a row of up to seven, so
+        # the mask equals the row-major formula's bit for bit
+        return sq[0::2].sum(axis=0) + sq[1::2].sum(axis=0) <= self.radius ** 2
 
     def bounding_box(self):
         return self.center - self.radius, self.center + self.radius
@@ -141,7 +145,8 @@ class Box:
         return a, b
 
     def contains(self, pts):
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
+        x = pts.T
+        return np.all((x >= self.lo[:, None]) & (x <= self.hi[:, None]), axis=0)
 
     def bounding_box(self):
         return self.lo.copy(), self.hi.copy()
@@ -198,9 +203,10 @@ class Simplex:
         return float(dots.min()), float(dots.max())
 
     def contains(self, pts):
-        lam = (pts - self.verts[0]) @ self._inv_edges.T
+        # a C-ordered operand, so the product rounds the same for any layout of pts
+        lam = self._inv_edges @ np.subtract(pts.T, self.verts[0][:, None], order="C")
         eps = 1e-12
-        return (np.all(lam >= -eps, axis=1)) & (lam.sum(axis=1) <= 1.0 + eps)
+        return np.all(lam >= -eps, axis=0) & (lam.sum(axis=0) <= 1.0 + eps)
 
     def bounding_box(self):
         return self.verts.min(axis=0), self.verts.max(axis=0)
@@ -353,7 +359,8 @@ class Polytope3D:
 
     def contains(self, pts):
         scale = max(float(np.abs(self.verts).max()), 1.0)
-        return np.all(pts @ self._normals.T <= self._offsets + 1e-12 * scale, axis=1)
+        x = np.ascontiguousarray(pts.T)  # C order, as in Simplex.contains
+        return np.all(self._normals @ x <= (self._offsets + 1e-12 * scale)[:, None], axis=0)
 
     def bounding_box(self):
         return self.verts.min(axis=0), self.verts.max(axis=0)
@@ -740,9 +747,14 @@ def mc_chunks(body, mc):
     """Yield (points inside the body, chunk sample count) per substream.
 
     Substreams are counter-derived from the seed (one Philox jump per fixed-
-    size chunk); accumulation over them is order-independent.
+    size chunk); accumulation over them is order-independent. Chunk i maps
+    its uniform block U of shape (m, d) to lo + U (hi - lo), held
+    coordinate-major as one C-ordered (d, m) array, so that the membership
+    test and the compaction run over contiguous rows. The points yielded are
+    a (k, d) view of the k inside ones.
     """
     lo, hi = body.bounding_box()
+    lo, span = lo[:, None], (hi - lo)[:, None]
     n_chunks = (mc.samples + _MC_CHUNK - 1) // _MC_CHUNK
     remaining = mc.samples
     base = np.random.Philox(key=mc.seed)
@@ -750,8 +762,9 @@ def mc_chunks(body, mc):
         m = min(_MC_CHUNK, remaining)
         remaining -= m
         rng = np.random.Generator(base.jumped(i))
-        pts = lo + rng.random((m, lo.size)) * (hi - lo)
-        yield pts[body.contains(pts)], m
+        x = np.multiply(rng.random((m, lo.size)).T, span, order="C")
+        x += lo
+        yield np.compress(body.contains(x.T), x, axis=1).T, m
 
 
 class HistogramProfile:
@@ -962,15 +975,16 @@ def verify_grunbaum_r(body, u, p, r, spec=DEFAULT_QUADRATURE, mc=None, tol=1e-9)
             raise PreconditionError(
                 f"binned profile violates {p}-concavity beyond 3 sigma ({worst:.3e})",
                 witness=worst)
-    cut = float(alpha_centroid(sp.profile, r, spec=spec))
     bound = grunbaum_r_bound(p, r)
     if sp.kind == "exact":
-        total, right = powered_split(sp.profile, 1.0, cut, spec=spec)
+        cut, total, right = _centroid_split(sp.profile, r, 1.0, spec)
+        cut = float(cut)
         lower = 1.0 - right / total
         sigma = 0.0
         tolerance = tol
         prov = integration_provenance(sp.profile, (r, 1.0), spec)
     else:
+        cut = float(alpha_centroid(sp.profile, r, spec=spec))
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
         tolerance = max(tol, _Z99_ONE_SIDED * sigma)

@@ -44,3 +44,10 @@ class ConvergenceError(GrunlabError, RuntimeError):
     def __init__(self, message, best_estimate):
         super().__init__(message)
         self.best_estimate = best_estimate
+
+
+class FloatRangeError(GrunlabError, OverflowError):
+    """An absolute integral leaves the float range: a power of the profile's
+    scale overflows. Centroids and tail ratios, which do not depend on the
+    scale, are then taken from the same profile scaled to maximum 1 where its
+    kind allows (closed forms and piecewise-linear profiles)."""

@@ -16,6 +16,7 @@ All profiles are immutable after construction and all operations are pure.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .errors import (
     ConvergenceError,
     DegenerateProfileError,
     DomainError,
+    FloatRangeError,
     ParameterError,
     ProfileError,
 )
@@ -89,7 +91,8 @@ def _segments(ha, hb, dt, e, moment):
     omitted terms stay below 1.2e-16 of the mass and 5e-15 of the centred
     moment. Other segments use the closed form written in
     r = |hb - ha| / max(ha, hb) with log1p and expm1, which keeps it accurate
-    down to the cut and on segments that reach zero. e = 0 integrates 1.
+    down to the cut and on segments that reach zero. e = 0 integrates the
+    indicator of {h > 0}: 1 on a segment, 0 where both ends are 0.
     Callers scale ordinates to max 1, since h^e is where the range is lost.
     """
     ha = np.maximum(ha, 0.0)
@@ -107,6 +110,8 @@ def _segments(ha, hb, dt, e, moment):
     hi_e = hi ** e
     g1 = -np.expm1((e + 1.0) * log_ratio) / ((e + 1.0) * r)
     mass = dt * np.where(near, mid_e * _horner(even, d2), hi_e * g1)
+    if e == 0.0:  # 0^0 would count a stretch where h vanishes
+        mass = np.where(hi > 0.0, mass, 0.0)
     if not moment:
         return mass, None
     # int (t - t_mid) h^e = (dt / dh) (int h^(e+1) - s int h^e)
@@ -181,6 +186,8 @@ class PiecewiseLinear:
         self.hs = hs
         self._top = float(hs.max())
         self._unit = hs / self._top if self._top > 0.0 else hs
+        # h vanishes on a whole segment, so {h > 0} is not the domain
+        self._zero_stretch = bool(np.any(np.maximum(hs[:-1], hs[1:]) == 0.0))
 
     @property
     def domain(self):
@@ -251,9 +258,13 @@ class ConcaveProfile(PiecewiseLinear):
 
 
 class AnalyticProfile:
-    """Base for closed-form profile families; subclasses fix the formula."""
+    """Base for closed-form profile families; subclasses fix the formula.
+
+    A copy made by _at_unit_max integrates h / max h instead of h (see there).
+    """
 
     kind = None
+    _unit_max = False
 
     @property
     def domain(self):
@@ -310,18 +321,27 @@ class ConstantProfile(AnalyticProfile):
     def max_value(self):
         return self.c
 
+    def _scale(self, beta):
+        return 1.0 if self._unit_max else self.c ** beta
+
     def powered_integral_exact(self, beta, lo, hi):
-        return self.c ** beta * max(hi - lo, 0.0)
+        return self._scale(beta) * max(hi - lo, 0.0)
 
     def moment_integral_exact(self, beta, lo, hi):
-        return self.c ** beta * 0.5 * (hi * hi - lo * lo) if hi > lo else 0.0
+        return self._scale(beta) * 0.5 * (hi * hi - lo * lo) if hi > lo else 0.0
 
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta}
 
 
 class _PowerLawProfile(AnalyticProfile):
-    """Shared closed forms for c * (signed distance to an endpoint)^q."""
+    """Shared closed forms for c * (signed distance to an endpoint)^q.
+
+    With L the domain length and s in [0, 1] the distance to the vanishing
+    end over L, h^beta = max^beta s^m for m = q beta, so every powered mass
+    and moment is max^beta L times powers of s, which stay in range at every
+    beta. Subclasses set _sign: +1 when h vanishes at gamma, -1 at delta.
+    """
 
     def __init__(self, c, gamma, delta, q):
         if not c > 0.0:
@@ -342,6 +362,27 @@ class _PowerLawProfile(AnalyticProfile):
     def max_value(self):
         return self.c * (self.delta - self.gamma) ** self.q
 
+    def _integrals(self, beta, lo, hi, moment):
+        if not hi > lo:
+            return 0.0
+        length = self.delta - self.gamma
+        end = self.gamma if self._sign > 0 else self.delta
+        s0, s1 = sorted((self._sign * (lo - end) / length, self._sign * (hi - end) / length))
+        m = self.q * beta
+        scale = length if self._unit_max else self.max_value() ** beta * length
+        mass = (s1 ** (m + 1.0) - s0 ** (m + 1.0)) / (m + 1.0)
+        if not moment:
+            return scale * mass
+        # t = end + _sign L s
+        return scale * (end * mass + self._sign * length
+                        * (s1 ** (m + 2.0) - s0 ** (m + 2.0)) / (m + 2.0))
+
+    def powered_integral_exact(self, beta, lo, hi):
+        return self._integrals(beta, lo, hi, False)
+
+    def moment_integral_exact(self, beta, lo, hi):
+        return self._integrals(beta, lo, hi, True)
+
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta, "q": self.q}
 
@@ -350,52 +391,22 @@ class DecreasingPowerProfile(_PowerLawProfile):
     """h(t) = c (delta - t)^q on [gamma, delta]; vanishes at the right endpoint."""
 
     kind = "decreasing-power"
+    _sign = -1.0
 
     def value(self, t):
         t = _check_in_domain(t, self.domain)
         return self.c * np.maximum(self.delta - t, 0.0) ** self.q
-
-    def powered_integral_exact(self, beta, lo, hi):
-        if hi <= lo:
-            return 0.0
-        m = self.q * beta
-        u0, u1 = self.delta - hi, self.delta - lo
-        return self.c ** beta * (u1 ** (m + 1.0) - u0 ** (m + 1.0)) / (m + 1.0)
-
-    def moment_integral_exact(self, beta, lo, hi):
-        if hi <= lo:
-            return 0.0
-        m = self.q * beta
-        u0, u1 = self.delta - hi, self.delta - lo
-        first = self.delta * (u1 ** (m + 1.0) - u0 ** (m + 1.0)) / (m + 1.0)
-        second = (u1 ** (m + 2.0) - u0 ** (m + 2.0)) / (m + 2.0)
-        return self.c ** beta * (first - second)
 
 
 class IncreasingPowerProfile(_PowerLawProfile):
     """h(t) = c (t - gamma)^q on [gamma, delta]; vanishes at the left endpoint."""
 
     kind = "increasing-power"
+    _sign = 1.0
 
     def value(self, t):
         t = _check_in_domain(t, self.domain)
         return self.c * np.maximum(t - self.gamma, 0.0) ** self.q
-
-    def powered_integral_exact(self, beta, lo, hi):
-        if hi <= lo:
-            return 0.0
-        m = self.q * beta
-        v0, v1 = lo - self.gamma, hi - self.gamma
-        return self.c ** beta * (v1 ** (m + 1.0) - v0 ** (m + 1.0)) / (m + 1.0)
-
-    def moment_integral_exact(self, beta, lo, hi):
-        if hi <= lo:
-            return 0.0
-        m = self.q * beta
-        v0, v1 = lo - self.gamma, hi - self.gamma
-        first = self.gamma * (v1 ** (m + 1.0) - v0 ** (m + 1.0)) / (m + 1.0)
-        second = (v1 ** (m + 2.0) - v0 ** (m + 2.0)) / (m + 2.0)
-        return self.c ** beta * (first + second)
 
 
 class BallSectionProfile(AnalyticProfile):
@@ -441,7 +452,9 @@ class BallSectionProfile(AnalyticProfile):
         return max(t - a, 0.0) / w, max(b - t, 0.0) / w
 
     def _scale(self, beta, e):
-        """kappa^beta radius^(2g + 1) for the index e = g + 1."""
+        """kappa^beta radius^(2g + 1) for the index e = g + 1: max^beta radius."""
+        if self._unit_max:
+            return self.radius
         return self._kappa ** beta * self.radius ** (2.0 * e - 1.0)
 
     def powered_integral_exact(self, beta, lo, hi):
@@ -656,67 +669,152 @@ def evaluate(h, t):
     return float(h.value(t)) if np.ndim(t) == 0 else h.value(t)
 
 
+def _range_error(what, beta):
+    return FloatRangeError(f"{what} at power {beta:g} leaves the float range")
+
+
 def powered_integral(h, beta, interval=None, spec=DEFAULT_QUADRATURE):
-    """int h(t)^beta dt over the interval (default: full domain)."""
+    """int h(t)^beta dt over the interval (default: full domain).
+
+    Raises FloatRangeError when the integral leaves the float range.
+    """
     if not beta > 0.0:
         raise ParameterError(f"beta must be positive, got {beta}")
     lo, hi = _check_interval(h, interval)
-    exact = h.powered_integral_exact(beta, lo, hi)
-    if exact is not None:
-        return max(float(exact), 0.0)
-    val = adaptive_simpson(lambda t: float(h.value(t)) ** beta, lo, hi, spec,
-                           breakpoints=h.quadrature_breakpoints)
-    return max(val, 0.0)
+    try:
+        val = h.powered_integral_exact(beta, lo, hi)
+        if val is None:
+            val = adaptive_simpson(lambda t: float(h.value(t)) ** beta, lo, hi, spec,
+                                   breakpoints=h.quadrature_breakpoints)
+    except OverflowError as exc:
+        raise _range_error("powered mass", beta) from exc
+    if not math.isfinite(val):
+        raise _range_error("powered mass", beta)
+    return max(float(val), 0.0)
 
 
 def moment_integral(h, beta, interval=None, spec=DEFAULT_QUADRATURE):
-    """int t h(t)^beta dt over the interval (default: full domain)."""
+    """int t h(t)^beta dt over the interval (default: full domain).
+
+    Raises FloatRangeError when the integral leaves the float range.
+    """
     if not beta > 0.0:
         raise ParameterError(f"beta must be positive, got {beta}")
     lo, hi = _check_interval(h, interval)
-    exact = h.moment_integral_exact(beta, lo, hi)
-    if exact is not None:
-        return float(exact)
-    return adaptive_simpson(lambda t: t * float(h.value(t)) ** beta, lo, hi, spec,
-                            breakpoints=h.quadrature_breakpoints)
+    try:
+        val = h.moment_integral_exact(beta, lo, hi)
+        if val is None:
+            val = adaptive_simpson(lambda t: t * float(h.value(t)) ** beta, lo, hi, spec,
+                                   breakpoints=h.quadrature_breakpoints)
+    except OverflowError as exc:
+        raise _range_error("powered moment", beta) from exc
+    if not math.isfinite(val):
+        raise _range_error("powered moment", beta)
+    return float(val)
 
 
 def powered_split(h, beta, cut, spec=DEFAULT_QUADRATURE):
     """(int_a^b h^beta, int_cut^b h^beta) for a cut inside the domain.
 
-    beta = 0 gives the lengths of the domain and of [cut, b], which for a
-    concave profile (positive inside its domain) are the lengths of {h > 0}.
+    beta = 0 gives the lengths of {h > 0} and of its part right of the cut;
+    a profile outside the segment kernel is taken as positive inside its
+    domain, as every closed form is. Raises FloatRangeError when the masses
+    leave the float range.
     """
     _check_exponent("beta", beta)
     a, b = h.domain
     cut = _check_interval(h, (cut, b))[0]
     if isinstance(h, PiecewiseLinear):
         total, right = _mass_tail(h.ts, h._unit[None], beta, np.array([cut]))
-        scale = h._top ** beta
+        try:
+            scale = h._top ** beta
+        except OverflowError as exc:
+            raise _range_error("powered mass", beta) from exc
         return float(total[0]) * scale, float(right[0]) * scale
     if beta == 0.0:
         return b - a, b - cut
     return powered_integral(h, beta, spec=spec), powered_integral(h, beta, (cut, b), spec=spec)
 
 
+def _at_unit_max(h):
+    """The profile h / max h for the integrals of a scale-free quantity, or
+    None for a kind that cannot be scaled so."""
+    if isinstance(h, PowerProfile):
+        base = _at_unit_max(h.base)
+        return None if base is None else PowerProfile(base, h.exponent)
+    if isinstance(h, PiecewiseLinear):
+        return PiecewiseLinear(np.column_stack([h.ts, h._unit]))
+    if isinstance(h, AnalyticProfile):
+        unit = copy.copy(h)
+        unit._unit_max = True
+        return unit
+    return None
+
+
+def _scale_free(fn, h, *args):
+    """fn(h, *args) for a quantity that does not change when h is scaled.
+
+    When a power of h's scale leaves the float range, by overflow or by
+    underflow to a zero mass, the quantity is taken from h / max h instead.
+    """
+    try:
+        return fn(h, *args)
+    except (FloatRangeError, DegenerateProfileError):
+        unit = _at_unit_max(h)
+        if unit is None:
+            raise
+        return fn(unit, *args)
+
+
+def _centroid_mass(h, alpha, spec):
+    """(g_alpha(h), int h^alpha) for h outside the segment kernel, alpha > 0."""
+    total = powered_integral(h, alpha, spec=spec)
+    moment = moment_integral(h, alpha, spec=spec)
+    if not total > 0.0:
+        raise DegenerateProfileError("zero total powered mass; centroid undefined")
+    a, b = h.domain
+    return min(max(moment / total, a), b), total
+
+
 def alpha_centroid(h, alpha, spec=DEFAULT_QUADRATURE):
     """Weighted mean g_alpha(h) = int t h^alpha / int h^alpha.
 
-    alpha = 0 returns the exact midpoint (the continuous limit), avoiding the
-    0^0 ambiguity at endpoints where h vanishes.
+    alpha = 0 weighs by the indicator of {h > 0} (the alpha -> 0 limit); on
+    a profile positive inside its domain, as every concave one is, that is
+    the exact midpoint. Scale-free: a profile whose powers leave the float
+    range gives the centroid of h / max h.
     """
     _check_exponent("alpha", alpha)
     a, b = h.domain
+    if isinstance(h, PiecewiseLinear):
+        if alpha == 0.0 and not h._zero_stretch:
+            return 0.5 * (a + b)
+        total, moment = (float(v[0]) for v in _mass_moment(h.ts, h._unit[None], alpha))
+        if not total > 0.0:
+            raise DegenerateProfileError("zero total powered mass; centroid undefined")
+        return min(max(moment / total, a), b)
     if alpha == 0.0:
         return 0.5 * (a + b)
-    if isinstance(h, PiecewiseLinear):
-        total, moment = (float(v[0]) for v in _mass_moment(h.ts, h._unit[None], alpha))
-    else:
-        total = powered_integral(h, alpha, spec=spec)
-        moment = moment_integral(h, alpha, spec=spec)
+    return _scale_free(_centroid_mass, h, alpha, spec)[0]
+
+
+def _centroid_split(h, alpha, beta, spec):
+    """(g_alpha(h), int h^beta, int_g^b h^beta). Outside the segment kernel
+    the total beta-powered mass is the centroid's own when alpha = beta."""
+    if isinstance(h, PiecewiseLinear) or alpha == 0.0:
+        cut = alpha_centroid(h, alpha, spec=spec)
+        return (cut, *powered_split(h, beta, cut, spec=spec))
+    cut, mass = _centroid_mass(h, alpha, spec)
+    if beta != alpha:
+        return (cut, *powered_split(h, beta, cut, spec=spec))
+    return cut, mass, powered_integral(h, beta, (cut, h.domain[1]), spec=spec)
+
+
+def _ratio_cut(h, alpha, beta, spec):
+    cut, total, right = _centroid_split(h, alpha, beta, spec)
     if not total > 0.0:
-        raise DegenerateProfileError("zero total powered mass; centroid undefined")
-    return min(max(moment / total, a), b)
+        raise DegenerateProfileError("zero total powered mass")
+    return right / total, cut
 
 
 def _tail_ratio_cut(h, alpha, beta, spec):
@@ -728,21 +826,17 @@ def _tail_ratio_cut(h, alpha, beta, spec):
             raise DegenerateProfileError("zero total powered mass")
         ratio, cut = _tail_ratios(h.ts, h.hs[None], alpha, beta)
         return float(ratio[0]), float(cut[0])
-    cut = alpha_centroid(h, alpha, spec=spec)
-    total, right = powered_split(h, beta, cut, spec=spec)
-    if not total > 0.0:
-        raise DegenerateProfileError("zero total powered mass")
-    return right / total, cut
+    return _scale_free(_ratio_cut, h, alpha, beta, spec)
 
 
 def tail_mass_ratio(h, alpha, beta, spec=DEFAULT_QUADRATURE):
     """Right-tail powered-mass fraction cut at the alpha-centroid.
 
     Returns int_{g_alpha(h)}^b h^beta / int_a^b h^beta, a number in (0, 1).
-    beta = 0 gives the beta -> 0 limit of a profile positive inside its
-    domain, as every concave one is: the length of {h > 0} right of the cut
-    over the length of {h > 0}. Like alpha = 0 in alpha_centroid, it counts
-    0^0 as 1 on a stretch where a non-concave h vanishes.
+    Power 0 (alpha or beta) weighs by the indicator of {h > 0}, the limit as
+    the power tends to 0: beta = 0 gives the length of {h > 0} right of the
+    cut over the length of {h > 0}. Scale-free: a profile whose powers leave
+    the float range gives the ratio of h / max h.
     """
     return _tail_ratio_cut(h, alpha, beta, spec)[0]
 
@@ -912,5 +1006,8 @@ def tail_masses(h, beta, cuts, spec=DEFAULT_QUADRATURE):
         i = np.searchsorted(ts[1:-1], s, side="right")  # the segment holding s
         hcut = hs[i] + (hs[i + 1] - hs[i]) / (ts[i + 1] - ts[i]) * (s - ts[i])
         part, _ = _segments(hcut, hs[i + 1], ts[i + 1] - s, beta, False)
-        return (part + after[i + 1]) * h._top ** beta
+        try:
+            return (part + after[i + 1]) * h._top ** beta
+        except OverflowError as exc:
+            raise _range_error("powered mass", beta) from exc
     return np.array([powered_integral(h, beta, (si, b), spec=spec) for si in s])

@@ -192,6 +192,74 @@ def exact_section_integrals(sections, e, lo=None, hi=None):
     return mass, moment
 
 
+# ---------------------------------------------------------------------------
+# reference rejection sampler, row-major: one point per row
+# ---------------------------------------------------------------------------
+
+REFERENCE_MC_CHUNK = 1 << 16  # points per Philox substream
+
+
+def row_major_contains(body, pts):
+    """Membership of the rows of a C-ordered (m, d) array, tested one point
+    per row: the reference that the bodies' coordinate-major contains methods
+    must match mask for mask."""
+    if isinstance(body, gl.Ball):
+        d = pts - body.center
+        return np.einsum("ij,ij->i", d, d) <= body.radius ** 2
+    if isinstance(body, gl.Box):
+        return np.all((pts >= body.lo) & (pts <= body.hi), axis=1)
+    if isinstance(body, gl.Simplex):
+        inv = np.linalg.inv((body.verts[1:] - body.verts[0]).T)
+        lam = (pts - body.verts[0]) @ inv.T
+        return np.all(lam >= -1e-12, axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
+    if isinstance(body, gl.Polytope3D):
+        scale = max(float(np.abs(body.verts).max()), 1.0)
+        return np.all(pts @ body._normals.T <= body._offsets + 1e-12 * scale, axis=1)
+    if isinstance(body, gl.Revolution):
+        a, b = body.profile.domain
+        t = pts[:, 0]
+        on = (t >= a) & (t <= b)
+        f = np.where(on, np.maximum(body.profile.value(np.clip(t, a, b)), 0.0), -1.0)
+        perp = np.linalg.norm(pts[:, 1:], axis=1)
+        return gl.unit_ball_volume(body.dim - 1) * perp ** (body.dim - 1) <= f
+    raise TypeError(f"no row-major formula for {type(body).__name__}")
+
+
+def reference_mc_chunks(body, mc):
+    """(inside points, chunk size) per substream, drawn and tested row-major:
+    chunk i draws lo + U (hi - lo) from Philox(key=seed).jumped(i)."""
+    lo, hi = body.bounding_box()
+    base = np.random.Philox(key=mc.seed)
+    for i, start in enumerate(range(0, mc.samples, REFERENCE_MC_CHUNK)):
+        m = min(REFERENCE_MC_CHUNK, mc.samples - start)
+        pts = lo + np.random.Generator(base.jumped(i)).random((m, lo.size)) * (hi - lo)
+        yield pts[row_major_contains(body, pts)], m
+
+
+def reference_mc_estimates(body, u, cut, mc, chunks):
+    """The binned profile's (values, sigma) and the (fraction, sigma) below
+    the cut, by the estimators' own formulas, from the reference sampler's
+    list of chunks for this body and McSpec."""
+    u = np.asarray(u, dtype=float) / np.linalg.norm(u)
+    a, b = body.support_interval(u)
+    lo, hi = body.bounding_box()
+    box_vol = float(np.prod(hi - lo))
+    width = np.linspace(a, b, mc.bins + 1)[1] - a
+    counts, total, inside, below = np.zeros(mc.bins), 0, 0, 0
+    for pts, m in chunks:
+        proj = pts @ u
+        idx = np.clip(((proj - a) / width).astype(int), 0, mc.bins - 1)
+        counts += np.bincount(idx, minlength=mc.bins)
+        total += m
+        inside += pts.shape[0]
+        below += int(np.count_nonzero(proj <= cut))
+    p = counts / total
+    values = box_vol * p / width
+    sigma = box_vol * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / total) / width
+    frac = below / inside
+    return values, sigma, frac, math.sqrt(max(frac * (1.0 - frac), 0.0) / inside)
+
+
 def random_convex_polygon(rng, n_pts=12):
     """Convex hull (ccw) of random planar points."""
     pts = rng.normal(size=(n_pts, 2))

@@ -23,7 +23,10 @@ from conftest import (
     load_fixture,
     random_convex_polygon,
     random_polytope3d,
+    reference_mc_chunks,
+    reference_mc_estimates,
     rotation_matrix_3d,
+    row_major_contains,
 )
 
 E1_3 = np.array([1.0, 0.0, 0.0])
@@ -231,6 +234,29 @@ def test_ball_integrals_never_reach_adaptive_simpson(monkeypatch):
     assert calls  # the counter does see quadrature where it runs
 
 
+def test_grunbaum_r_at_r_one_integrates_the_total_mass_once(monkeypatch):
+    calls = []
+    real = gl.profiles.powered_integral
+
+    def counted(h, beta, interval=None, spec=gl.DEFAULT_QUADRATURE):
+        calls.append(interval)
+        return real(h, beta, interval, spec)
+
+    rng = np.random.default_rng(71)
+    for body in (gl.Ball(rng.normal(size=4), 1.3), gl.Simplex(rng.normal(size=(4, 3)))):
+        u = _rand_unit(rng, body.dim)
+        profile = gl.exact_section_profile(body, u)
+        a, b = profile.domain
+        monkeypatch.setattr(gl.profiles, "powered_integral", counted)
+        calls.clear()
+        rep = gl.verify_grunbaum_r(body, u, 1.0 / (body.dim - 1), 1.0)
+        monkeypatch.undo()
+        cut = rep.details["cut"]
+        assert calls == [None, (cut, b)]
+        assert rep.details["lower_fraction"] == 1.0 - real(profile, 1.0, (cut, b)) / real(
+            profile, 1.0)
+
+
 def test_provenance_names_the_route_at_the_powers_used():
     rng = np.random.default_rng(67)
     ball = gl.Ball(rng.normal(size=3), 1.2)
@@ -434,6 +460,92 @@ def test_high_dimensional_polytopes_exact_equals_mc():
     assert gl.exact_section_profile(box7, u7) is None
     with pytest.raises(GrunlabError):
         gl.section_profile(box7, u7)
+
+
+def _mc_reference_cases():
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in range(3, 7):
+        lo = rng.normal(size=n)
+        cases += [(f"simplex{n}", gl.Simplex(rng.normal(size=(n + 1, n))), _rand_unit(rng, n)),
+                  (f"box{n}", gl.Box(lo, lo + rng.uniform(0.5, 2.0, n)), _rand_unit(rng, n)),
+                  (f"ball{n}", gl.Ball(rng.normal(size=n), rng.uniform(0.5, 2.0)),
+                   _rand_unit(rng, n))]
+    return cases + [("cone3", gl.body_from_json(load_fixture("cone3.json")), E1_3)]
+
+
+MC_REFERENCE_CASES = _mc_reference_cases()
+
+
+@pytest.mark.parametrize("seed", [11, 2 ** 40 + 7])
+@pytest.mark.parametrize("name,body,u", MC_REFERENCE_CASES,
+                         ids=[c[0] for c in MC_REFERENCE_CASES])
+def test_mc_equals_row_major_reference(name, body, u, seed):
+    """Coordinate-major chunks hold the same points, accept the same ones and
+    give the same estimates, bit for bit, as row-major rejection sampling.
+    150,000 samples are three substreams, the last one partial."""
+    from grunlab.bodies import mc_chunks
+
+    mc = gl.McSpec(seed=seed, samples=150_000, bins=64)
+    chunks = list(mc_chunks(body, mc))
+    reference = list(reference_mc_chunks(body, mc))
+    assert [m for _, m in chunks] == [m for _, m in reference] == [65_536, 65_536, 18_928]
+    for (pts, _), (want, _) in zip(chunks, reference):
+        assert pts.shape == want.shape == (want.shape[0], body.dim)
+        assert np.array_equal(pts, want)
+    a, b = body.support_interval(u)
+    cut = a + 0.4 * (b - a)
+    values, sigma, frac, frac_sigma = reference_mc_estimates(body, u, cut, mc, reference)
+    sp = gl.mc_section_profile(body, u, mc)
+    assert np.array_equal(sp.profile.values, values)
+    assert np.array_equal(sp.sigma, sigma)
+    est = gl.mc_halfspace_fraction(body, u, cut, mc)
+    assert (est.value, est.sigma) == (frac, frac_sigma)
+
+
+def _near_boundary(body, rng, m):
+    """m points within 1e-13 of the boundary, on both sides: bisect rays from
+    the centroid to the crossing, then step along the ray by up to 1e-13."""
+    centre = np.asarray(body.centroid(), dtype=float)
+    lo, hi = body.bounding_box()
+    rays = rng.normal(size=(m, body.dim))
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    inner, outer = np.zeros(m), np.full(m, 2.0 * float(np.linalg.norm(hi - lo)))
+    for _ in range(80):
+        mid = 0.5 * (inner + outer)
+        inside = body.contains(centre + mid[:, None] * rays)
+        inner, outer = np.where(inside, mid, inner), np.where(inside, outer, mid)
+    return centre + (inner + rng.uniform(-1e-13, 1e-13, m))[:, None] * rays
+
+
+def _layout_cases():
+    rng = np.random.default_rng(8)
+    cases = [(f"ball{n}", gl.Ball(rng.normal(size=n), rng.uniform(0.5, 2.0)))
+             for n in range(2, 8)]
+    lo = rng.normal(size=3)
+    return cases + [
+        ("box3", gl.Box(lo, lo + rng.uniform(0.5, 2.0, 3))),
+        ("simplex4", gl.Simplex(rng.normal(size=(5, 4)))),
+        ("polygon", random_convex_polygon(rng)),
+        ("polytope3d", random_polytope3d(rng)),
+        ("cone3", gl.body_from_json(load_fixture("cone3.json"))),
+    ]
+
+
+LAYOUT_CASES = _layout_cases()
+
+
+@pytest.mark.parametrize("name,body", LAYOUT_CASES, ids=[c[0] for c in LAYOUT_CASES])
+def test_contains_mask_does_not_depend_on_layout(name, body):
+    rng = np.random.default_rng(9)
+    lo, hi = body.bounding_box()
+    pts = np.vstack([_near_boundary(body, rng, 3000),
+                     lo + rng.random((3000, body.dim)) * (hi - lo)])
+    mask = body.contains(pts)
+    assert mask.shape == (6000,) and mask.dtype == bool
+    assert np.array_equal(body.contains(np.ascontiguousarray(pts.T).T), mask)
+    if not isinstance(body, gl.Polytope2D):  # its test was always per coordinate
+        assert np.array_equal(row_major_contains(body, pts), mask)
 
 
 # ---------------------------------------------------------------------------

@@ -335,6 +335,76 @@ def test_beta_zero_is_the_support_length_limit():
     assert gl.tail_mass_ratio(power, 1.0, 0.0) == 1.0 - gl.alpha_centroid(power, 1.0)
 
 
+def test_power_zero_weighs_by_the_indicator_of_positive_h():
+    # h vanishes on [0, 1], so the powers' -> 0 limits see only {h > 0} = (1, 3)
+    h = gl.PiecewiseLinear([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]])
+    assert gl.tail_mass_ratio(h, 1.0, 0.0) == pytest.approx(0.5, abs=1e-14)
+    assert gl.alpha_centroid(h, 0.0) == pytest.approx(2.0, abs=1e-14)
+    assert gl.tail_mass_ratio(h, 0.0, 1.0) == pytest.approx(0.5, abs=1e-14)
+    assert gl.tail_mass_ratio(h, 1.0, 0.0) == pytest.approx(
+        gl.tail_mass_ratio(h, 1.0, 1e-9), abs=1e-8)
+    assert gl.alpha_centroid(h, 0.0) == pytest.approx(gl.alpha_centroid(h, 1e-9), abs=1e-8)
+    assert gl.tail_mass_ratio(h, 0.0, 1.0) == pytest.approx(
+        gl.tail_mass_ratio(h, 1e-9, 1.0), abs=1e-8)
+    assert gl.profiles.powered_split(h, 0.0, 2.5) == pytest.approx((2.0, 0.5), abs=1e-14)
+    assert gl.tail_masses(h, 0.0, [0.5, 1.5]) == pytest.approx([2.0, 1.5], abs=1e-14)
+    # zeros at isolated points leave {h > 0} the whole domain: the exact midpoint
+    dips = gl.PiecewiseLinear([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
+    assert gl.alpha_centroid(dips, 0.0) == 1.5
+
+
+def test_scale_free_results_at_large_powers_come_from_the_profile_at_max_one():
+    ball = gl.BallSectionProfile(1.0, 3)
+    assert gl.tail_mass_ratio(ball, 1.0, 700.0) == pytest.approx(0.5, abs=1e-12)
+    assert gl.verify_functional(ball, 1.0, 700.0).ratio == pytest.approx(0.5, abs=1e-12)
+    assert gl.tail_mass_ratio(gl.power_profile(ball, 2.0), 1.0, 350.0) == pytest.approx(
+        0.5, abs=1e-12)
+    off = gl.BallSectionProfile(1.0, 3, center=0.3)
+    assert gl.alpha_centroid(off, 700.0) == pytest.approx(0.3, abs=1e-14)
+    # h = c (10 - t) on [0, 10] is (1 - s) at max 1, with t = 10 s: g_1 is at
+    # s = 1/3 and the tail mass at power 400 is (2/3)^401; c = 1 overflows,
+    # c = 1e-4 underflows
+    for c in (1.0, 1e-4):
+        ramp = gl.DecreasingPowerProfile(c, 0.0, 10.0, 1.0)
+        assert gl.tail_mass_ratio(ramp, 1.0, 400.0) == pytest.approx((2.0 / 3.0) ** 401,
+                                                                     rel=1e-12)
+        assert gl.tail_mass_ratio(gl.reflect(ramp), 1.0, 400.0) == pytest.approx(
+            1.0 - (2.0 / 3.0) ** 401, rel=1e-14)
+        assert gl.alpha_centroid(ramp, 400.0) == pytest.approx(10.0 / 402.0, rel=1e-12)
+    tall = gl.ConcaveProfile([[0.0, 0.0], [1.0, 10.0], [2.0, 10.0], [3.0, 0.0]])
+    assert gl.tail_mass_ratio(gl.power_profile(tall, 2.0), 1.0, 200.0) == pytest.approx(
+        gl.tail_mass_ratio(tall, 2.0, 400.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("h,beta", [(gl.BallSectionProfile(1.0, 3), 700.0),
+                                    (gl.DecreasingPowerProfile(1.0, 0.0, 10.0, 1.0), 400.0),
+                                    (gl.ConstantProfile(10.0, 0.0, 1.0), 400.0)])
+def test_absolute_integrals_out_of_float_range_raise(h, beta):
+    for integral in (gl.powered_integral, gl.moment_integral):
+        with pytest.raises(gl.FloatRangeError) as info:
+            integral(h, beta)
+        assert isinstance(info.value, gl.GrunlabError)
+
+
+def test_equal_powers_integrate_the_total_mass_once(monkeypatch):
+    calls = []
+    real = gl.profiles.powered_integral
+
+    def counted(h, beta, interval=None, spec=gl.DEFAULT_QUADRATURE):
+        calls.append(interval)
+        return real(h, beta, interval, spec)
+
+    monkeypatch.setattr(gl.profiles, "powered_integral", counted)
+    h = gl.BallSectionProfile(1.3, 4, center=-0.2)
+    ratio, cut = gl.profiles._tail_ratio_cut(h, 2.0, 2.0, gl.DEFAULT_QUADRATURE)
+    assert calls == [None, (cut, h.domain[1])]
+    assert ratio == real(h, 2.0, (cut, h.domain[1])) / real(h, 2.0)
+    cut = gl.alpha_centroid(h, 1.0)
+    calls.clear()
+    gl.tail_mass_ratio(h, 1.0, 2.0)
+    assert calls == [None, None, (cut, h.domain[1])]
+
+
 # ---------------------------------------------------------------------------
 # p-concavity certification
 # ---------------------------------------------------------------------------
