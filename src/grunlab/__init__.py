@@ -87,7 +87,7 @@ from .profiles import (
     tail_mass_ratio,
     tail_masses,
 )
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, adaptive_simpson, unit_ball_volume
+from .quadrature import unit_ball_volume
 from .reports import TheoremReport, make_report, reports_to_csv
 from .search import (
     SearchConfig,

@@ -20,7 +20,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .profiles import (
     ConcaveProfile,
     ConstantProfile,
     DecreasingPowerProfile,
-    DEFAULT_QUADRATURE,
     IncreasingPowerProfile,
     _centroid_split,
     _check_in_domain,
@@ -51,14 +50,16 @@ from .profiles import (
     reflect,
     tail_mass_ratio,
 )
-from .quadrature import unit_ball_volume
+from .quadrature import _gauss_jacobi, unit_ball_volume
 from .reports import make_report
 
 _GEOM_TOL = 1e-12
 _KUHN_MAX_DIM = 6  # a box's Kuhn triangulation has n! simplices
 _KNOT_TIE = 1e-12  # relative gap below which vertex projections tie
 _SPLINE_BLOCK = 1 << 16  # (simplex, point) pairs per de Boor-Cox block
-_GAUSS_MAX_NODES = 100  # larger integer powers go to adaptive quadrature
+_GAUSS_MIN_NODES = 40  # nodes per piece at a non-integer power
+_GAUSS_MAX_NODES = 400  # above it a power is integrated, not exactly, with these
+_GAUSS_GRADING = 8.0  # largest length ratio of consecutive pieces near an end
 _Z99_ONE_SIDED = 2.3263478740408408  # 99% one-sided normal quantile
 
 
@@ -280,25 +281,6 @@ class Polytope2D:
         cx = np.sum((v[:, 0] + w[:, 0]) * cross) / (6.0 * area)
         cy = np.sum((v[:, 1] + w[:, 1]) * cross) / (6.0 * area)
         return np.array([cx, cy])
-
-    def chord_length(self, u, t):
-        """Length of the intersection with the line <x, u> = t."""
-        u = _unit(u, 2)
-        perp = np.array([-u[1], u[0]])
-        dots = self.verts @ u - t
-        spans = []
-        scale = max(float(np.abs(dots).max()), 1e-300)
-        for i in range(len(self.verts)):
-            p, q = self.verts[i], self.verts[(i + 1) % len(self.verts)]
-            dp, dq = dots[i], dots[(i + 1) % len(self.verts)]
-            if abs(dp) <= 1e-14 * scale:
-                spans.append(float(p @ perp))
-            if (dp < 0 < dq) or (dq < 0 < dp):
-                lam = dp / (dp - dq)
-                spans.append(float((p + lam * (q - p)) @ perp))
-        if len(spans) < 2:
-            return 0.0
-        return max(spans) - min(spans)
 
     def _simplices(self):
         """Triangle fan from vertex 0."""
@@ -545,11 +527,6 @@ def _simplex_volumes(points, idx):
     return np.abs(np.linalg.det(edges)) / math.factorial(points.shape[1])
 
 
-@lru_cache(maxsize=32)
-def _legendre(nodes):
-    return np.polynomial.legendre.leggauss(nodes)
-
-
 class SimplexSplineProfile:
     """Section profile of a union of simplices: sum_s vol_s M(t; knots_s).
 
@@ -557,13 +534,20 @@ class SimplexSplineProfile:
     n - 1 on the sorted vertex projections y_i of a simplex in R^n, so
     vol_s M is that simplex's section profile (Curry & Schoenberg, 1966).
     Between consecutive knots of the union the profile is one polynomial of
-    degree n - 1, so an integer power integrates exactly by Gauss-Legendre
-    on each knot interval; other powers go to adaptive quadrature split at
-    the knots. Knot intervals are half-open, [y_i, y_(i+1)), except at the
+    degree n - 1. Knot intervals are half-open, [y_i, y_(i+1)), except at the
     right end b, where the value is the left limit. Knots closer than
     _KNOT_TIE of the support are snapped to one (the ends to a and b), so
     projections that should tie but differ by rounding do tie, and a facet
     orthogonal to u gives its area at the end it lies on.
+
+    f^beta and t f^beta integrate by one fixed rule at every beta > 0:
+    Gauss-Legendre on each knot interval, but on the first, where
+    f = (t - a)^k g with g > 0, Gauss-Jacobi with the weight (t - a)^phi,
+    phi the fractional part of k beta (the same at b); a cut inside an end
+    interval integrates from the end and subtracts. _rule's node count is
+    exact at integer powers. At other powers f^beta is singular just outside
+    an interval beside a short end interval, so the pieces grow at most
+    _GAUSS_GRADING-fold away from each end.
     """
 
     def __init__(self, knots, volumes):
@@ -585,6 +569,26 @@ class SimplexSplineProfile:
         for k in range(1, self.degree + 1):
             span = (y[:, k:] - y[:, :-k])[:, :, None]
             self._inv.append(np.where(span > 0.0, 1.0 / np.where(span > 0.0, span, 1.0), 0.0))
+        # the rule's pieces: the knot intervals, one split at its midpoint
+        lv = self._levels
+        self._pieces = lv if lv.size > 2 else np.array([lv[0], 0.5 * (lv[0] + lv[1]), lv[1]])
+        self._memo = (None,)
+
+    @cached_property
+    def _order(self):
+        """k at a and b: n less the most knots any one simplex ties there."""
+        return tuple(self.degree + 1 - int((self.knots == end).sum(axis=1).max())
+                     for end in (self._a, self._b))
+
+    @cached_property
+    def _graded(self):
+        """Inexact rules' pieces: cut at a + (first - a) q^j and b - (b - last) q^j."""
+        half = 0.5 * (self._b - self._a)
+        graded = [end + step * _GAUSS_GRADING ** np.arange(
+                      1.0, math.log(half / abs(step), _GAUSS_GRADING))
+                  for end, step in ((self._a, self._pieces[1] - self._a),
+                                    (self._b, self._pieces[-2] - self._b))]
+        return np.union1d(self._pieces, np.concatenate(graded))
 
     @property
     def domain(self):
@@ -633,24 +637,58 @@ class SimplexSplineProfile:
                     best = max(best, float(self._sum(roots).max()))
         return best
 
-    def _gauss(self, beta, lo, hi, moment):
-        nodes = (self.degree * int(beta) + 1) // 2 + 1  # exact for t f^beta
-        if not float(beta).is_integer() or nodes > _GAUSS_MAX_NODES:
-            return None
-        if not hi > lo:
-            return 0.0
-        x, w = _legendre(nodes)
-        cuts = np.concatenate([[lo], self._levels[(self._levels > lo) & (self._levels < hi)], [hi]])
-        half = 0.5 * np.diff(cuts)[:, None]
-        t = 0.5 * (cuts[:-1] + cuts[1:])[:, None] + half * x
-        g = self._sum(t.ravel()).reshape(t.shape) ** beta
-        return float(np.sum(half * w * (g * t if moment else g)))
+    def _at_unit_max(self):
+        return SimplexSplineProfile(self.knots, self.volumes / self.max_value())
 
-    def powered_integral_exact(self, beta, lo, hi):
-        return self._gauss(beta, lo, hi, False)
+    def _rule(self, beta):
+        """(nodes per piece, whether the rule is exact at power beta)."""
+        exact = (self.degree * math.ceil(beta) + 1) // 2 + 1  # for t f^beta
+        if float(beta).is_integer():
+            return min(exact, _GAUSS_MAX_NODES), exact <= _GAUSS_MAX_NODES
+        return min(max(exact, _GAUSS_MIN_NODES), _GAUSS_MAX_NODES), False
 
-    def moment_integral_exact(self, beta, lo, hi):
-        return self._gauss(beta, lo, hi, True)
+    def integrals(self, beta, lo, hi):
+        memo = self._memo  # read once: another thread may replace it
+        if memo[0] != (beta, lo, hi):  # a centroid asks for both in turn
+            t, wg = self._weighted(beta, lo, hi)
+            memo = self._memo = (beta, lo, hi), float(np.sum(wg)), float(np.sum(wg * t))
+        return memo[1:]
+
+    def _weighted(self, beta, lo, hi):
+        """The rule's nodes t, one row per piece, and its weights times f^beta."""
+        nodes, exact = self._rule(beta)
+        cuts = self._pieces if exact else self._graded
+        cuts = np.concatenate([[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]])
+        # f^beta = y^(k beta) g^beta on a first piece of length L, with
+        # y = (t - a) / L: Jacobi takes y^phi, and y^(k beta - phi) g^beta is
+        # smooth. With phi < 1 no weight is so small that the absolute error
+        # of eigh's eigenvectors swamps it. Same at b.
+        phi_a, phi_b = (0.0, 0.0) if exact else ((k * beta) % 1.0 for k in self._order)
+        origin, length = cuts[:-1], np.diff(cuts)
+        keep, rows = np.ones(origin.size, dtype=bool), []
+        if phi_a and lo < self._pieces[1]:  # int_a^min(hi, first) less int_a^lo
+            keep[0] = False
+            rows += [(self._a, cuts[1] - self._a, 1, 1.0), (self._a, lo - self._a, 1, -1.0)]
+        if phi_b and hi > self._pieces[-2]:  # int_max(lo, last)^b less int_hi^b
+            keep[-1] = False
+            rows += [(self._b, cuts[-2] - self._b, 2, 1.0), (self._b, hi - self._b, 2, -1.0)]
+        if not rows:
+            y, w = _gauss_jacobi(nodes, 0.0)
+            t = origin[:, None] + length[:, None] * y
+            return t, length[:, None] * w * self._sum(t.ravel()).reshape(t.shape) ** beta
+        # row: t = origin + length y over the nodes y in [0, 1] of rule end
+        # (0 Legendre; 1, 2 Jacobi from a, b), weighed by sign
+        legendre = np.column_stack([origin, length, np.zeros_like(origin), np.ones_like(origin)])
+        rows = np.concatenate([legendre[keep], rows])
+        origin, length, sign, end = rows[:, :1], rows[:, 1:2], rows[:, 3:], rows[:, 2].astype(int)
+        phi = np.array([0.0, phi_a, phi_b])
+        rules = [_gauss_jacobi(nodes, p) for p in phi]
+        y, w = np.stack([r[0] for r in rules])[end], np.stack([r[1] for r in rules])[end]
+        t = origin + length * y
+        # y at the rounded nodes (1 on an empty row, where f = 0)
+        s = np.divide(t - origin, length, out=np.ones_like(t), where=length != 0.0)
+        f = self._sum(t.ravel()).reshape(t.shape)
+        return t, sign * np.abs(length) * w * f ** beta / s ** phi[end][:, None]
 
 
 def _spline_profile(body, u):
@@ -781,10 +819,6 @@ class HistogramProfile:
         return float(self.edges[0]), float(self.edges[-1])
 
     @property
-    def quadrature_breakpoints(self):
-        return self.edges
-
-    @property
     def centers(self):
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
@@ -799,15 +833,20 @@ class HistogramProfile:
     def max_value(self):
         return float(self.values.max())
 
-    def powered_integral_exact(self, beta, lo, hi):
-        width = np.minimum(self.edges[1:], hi) - np.maximum(self.edges[:-1], lo)
-        return float(np.sum(self.values ** beta * np.maximum(width, 0.0)))
-
-    def moment_integral_exact(self, beta, lo, hi):
+    def integrals(self, beta, lo, hi):
         a = np.maximum(self.edges[:-1], lo)
         b = np.minimum(self.edges[1:], hi)
         good = b > a
-        return float(np.sum(self.values[good] ** beta * 0.5 * (b[good] ** 2 - a[good] ** 2)))
+        mass = float(np.sum(self.values ** beta * np.maximum(b - a, 0.0)))
+        return mass, float(np.sum(self.values[good] ** beta * 0.5 * (b[good] ** 2 - a[good] ** 2)))
+
+    def _at_unit_max(self):
+        return HistogramProfile(self.edges, self.values / self.values.max())
+
+    def _support(self):
+        """The indicator of the non-empty bins; None when none is empty."""
+        positive = self.values > 0.0
+        return None if positive.all() else HistogramProfile(self.edges, positive)
 
 
 class SectionProfile:
@@ -894,18 +933,18 @@ def mc_halfspace_fraction(body, u, c, mc):
 # powered centroids and halfspace fractions
 # ---------------------------------------------------------------------------
 
-def r_centroid_point(body, u, r, spec=DEFAULT_QUADRATURE, mc=None):
+def r_centroid_point(body, u, r, mc=None):
     """Coordinate along u of the r-powered centroid; r = 0 gives the midpoint."""
     if r < 0.0:
         raise ParameterError(f"r must be non-negative, got {r}")
     a, b = body.support_interval(u)
     if r == 0.0:
         return 0.5 * (a + b)
-    lam = alpha_centroid(section_profile(body, u, mc=mc).profile, r, spec=spec)
+    lam = alpha_centroid(section_profile(body, u, mc=mc).profile, r)
     return float(min(max(lam, a), b))
 
 
-def halfspace_fraction(body, u, c, spec=DEFAULT_QUADRATURE, mc=None):
+def halfspace_fraction(body, u, c, mc=None):
     """vol(K ∩ {<x,u> <= c}) / vol(K) via the 1-D profile (or MC counting)."""
     a, b = body.support_interval(u)
     if not (a - 1e-12 * max(b - a, 1.0) <= c <= b + 1e-12 * max(b - a, 1.0)):
@@ -916,8 +955,8 @@ def halfspace_fraction(body, u, c, spec=DEFAULT_QUADRATURE, mc=None):
     if exact is None:
         raise GrunlabError("no exact profile; pass an McSpec")
     c = min(max(c, a), b)
-    total = powered_integral(exact, 1.0, spec=spec)
-    return powered_integral(exact, 1.0, (a, c), spec=spec) / total
+    total = powered_integral(exact, 1.0)
+    return powered_integral(exact, 1.0, (a, c)) / total
 
 
 def centroid(body):
@@ -954,7 +993,7 @@ def _mc_concavity_ok(profile, sigma, p):
     return worst <= 0.0, worst
 
 
-def verify_grunbaum_r(body, u, p, r, spec=DEFAULT_QUADRATURE, mc=None, tol=1e-9):
+def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     """Halfspace-mass bound at the r-powered centroid for a p-concave profile.
 
     Reports min(lower, upper) side against the sharp constant; the hypothesis
@@ -977,14 +1016,14 @@ def verify_grunbaum_r(body, u, p, r, spec=DEFAULT_QUADRATURE, mc=None, tol=1e-9)
                 witness=worst)
     bound = grunbaum_r_bound(p, r)
     if sp.kind == "exact":
-        cut, total, right = _centroid_split(sp.profile, r, 1.0, spec)
+        cut, total, right = _centroid_split(sp.profile, r, 1.0)
         cut = float(cut)
         lower = 1.0 - right / total
         sigma = 0.0
         tolerance = tol
-        prov = integration_provenance(sp.profile, (r, 1.0), spec)
+        prov = integration_provenance(sp.profile, (r, 1.0))
     else:
-        cut = float(alpha_centroid(sp.profile, r, spec=spec))
+        cut = float(alpha_centroid(sp.profile, r))
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
         tolerance = max(tol, _Z99_ONE_SIDED * sigma)
@@ -1010,7 +1049,7 @@ def verify_minkowski_radon(body, u, tol=1e-9):
     return make_report("minkowski-radon", ratio, bound.value, tol, prov, details)
 
 
-def verify_makai_fradelizi(body, u, spec=DEFAULT_QUADRATURE, tol=1e-9):
+def verify_makai_fradelizi(body, u, tol=1e-9):
     """Central section against the largest parallel section: f(g1)/max f."""
     u = _unit(u, body.dim)
     sp = section_profile(body, u)
@@ -1018,7 +1057,7 @@ def verify_makai_fradelizi(body, u, spec=DEFAULT_QUADRATURE, tol=1e-9):
     top = sp.profile.max_value()
     ratio = float(evaluate(sp.profile, g1)) / top
     bound = classic_bounds(body.dim)["makai_fradelizi"]
-    prov = integration_provenance(sp.profile, (1.0,), spec)
+    prov = integration_provenance(sp.profile, (1.0,))
     prov["params"] = {"n": body.dim, "u": list(u)}
     details = {"cut": g1, "max_section": top}
     return make_report("makai-fradelizi", ratio, bound.value, tol, prov, details)
@@ -1054,7 +1093,7 @@ class RoundTrip:
         return bool(self.discrepancy < self.tol)
 
 
-def revolve_roundtrip(profile, n, r=1.0, spec=DEFAULT_QUADRATURE, tol=1e-8):
+def revolve_roundtrip(profile, n, r=1.0, tol=1e-8):
     """Compare the functional and geometric routes to the same mass ratio.
 
     The body of revolution built from a section profile f, cut at its
@@ -1064,11 +1103,11 @@ def revolve_roundtrip(profile, n, r=1.0, spec=DEFAULT_QUADRATURE, tol=1e-8):
     """
     body = revolve(profile, n)
     axis = body.axis
-    lam = r_centroid_point(body, axis, r, spec=spec)
-    geometric = 1.0 - halfspace_fraction(body, axis, lam, spec=spec)
+    lam = r_centroid_point(body, axis, r)
+    geometric = 1.0 - halfspace_fraction(body, axis, lam)
     h = power_profile(profile, 1.0 / (n - 1))
     beta = float(n - 1)
-    functional = tail_mass_ratio(h, r * beta, beta, spec=spec)
+    functional = tail_mass_ratio(h, r * beta, beta)
     return RoundTrip(functional_ratio=float(functional),
                      geometric_ratio=float(geometric),
                      discrepancy=float(abs(functional - geometric)),

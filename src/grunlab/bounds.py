@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import DegenerateProfileError, ParameterError, PreconditionError
 from .profiles import (
-    DEFAULT_QUADRATURE,
     _check_exponent,
     _tail_ratio_cut,
     alpha_centroid,
@@ -131,16 +130,16 @@ def _require_concave(h, tol=1e-9):
             f"at triple {check.witness[:3]})", witness=check.witness)
 
 
-def verify_functional(h, alpha, beta, spec=DEFAULT_QUADRATURE, tol=BOUND_TOL):
+def verify_functional(h, alpha, beta, tol=BOUND_TOL):
     """Check the tail-mass inequality for one concave profile.
 
     Returns a TheoremReport with ratio, sharp bound, slack and provenance;
     raises PreconditionError when h fails the concavity certificate.
     """
     _require_concave(h)
-    ratio, cut = _tail_ratio_cut(h, alpha, beta, spec)
+    ratio, cut = _tail_ratio_cut(h, alpha, beta)
     bound = functional_bound(alpha, beta)
-    prov = integration_provenance(h, (alpha, beta), spec)
+    prov = integration_provenance(h, (alpha, beta))
     prov["params"] = {"alpha": alpha, "beta": beta}
     details = {"cut": cut, "regime": bound.regime}
     return make_report("functional-tail", ratio, bound.value, tol, prov, details)
@@ -193,7 +192,7 @@ class ComparisonAffine:
         return self.gamma + (self.delta - self.gamma) * (alpha - beta + 1.0) / (alpha + 2.0)
 
 
-def build_comparison_affine(h, alpha, beta, spec=DEFAULT_QUADRATURE):
+def build_comparison_affine(h, alpha, beta):
     """Construct the comparison affine function for h at exponents (alpha, beta).
 
     delta = (beta+1) I_right / h(g)^beta + g,  c = h(g)/(delta - g),
@@ -202,11 +201,11 @@ def build_comparison_affine(h, alpha, beta, spec=DEFAULT_QUADRATURE):
     """
     if not beta > 0.0:
         raise ParameterError(f"beta must be positive, got {beta}")
-    g = alpha_centroid(h, alpha, spec=spec)
+    g = alpha_centroid(h, alpha)
     hg = float(evaluate(h, g))
     if not hg > 0.0:
         raise DegenerateProfileError("profile vanishes at its alpha-centroid")
-    total, right = powered_split(h, beta, g, spec=spec)
+    total, right = powered_split(h, beta, g)
     delta = (beta + 1.0) * right / hg ** beta + g
     c = hg / (delta - g)
     gamma = delta - ((beta + 1.0) * total / c ** beta) ** (1.0 / (beta + 1.0))
@@ -253,8 +252,7 @@ def _sign_changes(diff, scale, anchor_mask):
     return int(np.count_nonzero(np.diff(signs) != 0.0))
 
 
-def validate_comparison(h, g, alpha, beta, s_grid_size=128,
-                        spec=DEFAULT_QUADRATURE, tol=1e-8):
+def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
     """Check the defining identities and domination structure of g against h.
 
     Verifies: value match at the anchor; total and right-tail mass equality;
@@ -264,7 +262,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128,
     """
     a, b = h.domain
     hg = float(evaluate(h, g.anchor))
-    total, right = powered_split(h, beta, g.anchor, spec=spec)
+    total, right = powered_split(h, beta, g.anchor)
     value_error = abs(g.value(g.anchor) - hg) / max(hg, 1e-300)
     total_mass_error = abs(g.powered_total(beta) - total) / max(total, 1e-300)
     tail_mass_error = abs(float(g.powered_tail(beta, g.anchor)) - right) / max(total, 1e-300)
@@ -278,7 +276,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128,
     )
 
     cuts = np.linspace(a, g.delta, int(s_grid_size))
-    h_tails = tail_masses(h, beta, cuts, spec=spec)
+    h_tails = tail_masses(h, beta, cuts)
     g_tails = g.powered_tail(beta, cuts)
     margin = float(np.min((g_tails - h_tails) / max(total, 1e-300)))
 
@@ -314,7 +312,7 @@ class CentroidDomination:
     passed: bool
 
 
-def centroid_domination_check(h, alpha, beta, spec=DEFAULT_QUADRATURE, tol=BOUND_TOL):
+def centroid_domination_check(h, alpha, beta, tol=BOUND_TOL):
     """Verify the centroid cap behind each regime of the sharp bound.
 
     For beta <= alpha the cap is g0 = gamma + (delta-gamma)(alpha-beta+1)/(alpha+2);
@@ -322,7 +320,7 @@ def centroid_domination_check(h, alpha, beta, spec=DEFAULT_QUADRATURE, tol=BOUND
     delta - (alpha+1)(delta-gamma)/(alpha+2). Both are evaluated in closed
     form from (gamma, delta) so no quadrature error compounds.
     """
-    g = build_comparison_affine(h, alpha, beta, spec=spec)
+    g = build_comparison_affine(h, alpha, beta)
     if beta <= alpha:
         regime, threshold = "beta_le_alpha", g.g0(alpha, beta)
     else:

@@ -34,8 +34,9 @@ class PreconditionError(GrunlabError, ValueError):
 
 
 class ConvergenceError(GrunlabError, RuntimeError):
-    """An iterative integral did not reach its tolerance: adaptive quadrature,
-    or the incomplete beta continued fraction of a ball section.
+    """An iterative integral did not reach its tolerance: the incomplete beta
+    continued fraction of a ball section, or the reference integrator
+    quadrature.adaptive_simpson.
 
     The best available estimate is kept so callers can decide whether to
     accept it anyway.
@@ -49,5 +50,5 @@ class ConvergenceError(GrunlabError, RuntimeError):
 class FloatRangeError(GrunlabError, OverflowError):
     """An absolute integral leaves the float range: a power of the profile's
     scale overflows. Centroids and tail ratios, which do not depend on the
-    scale, are then taken from the same profile scaled to maximum 1 where its
-    kind allows (closed forms and piecewise-linear profiles)."""
+    scale, are then taken from the same profile scaled to maximum 1, which
+    every profile kind gives."""

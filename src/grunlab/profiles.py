@@ -10,8 +10,11 @@ interval [a, b]:
     tail-mass ratio   I_beta(h; g_alpha(h), b) / I_beta(h; a, b)
 
 Piecewise-linear profiles integrate through one segment kernel, shared with
-the extremal search; power laws and ball sections have closed forms.
-All profiles are immutable after construction and all operations are pure.
+the extremal search; power laws and ball sections have closed forms. Every
+profile kind integrates itself: integrals(beta, lo, hi) gives (I_beta,
+M_beta) on a sub-interval lo < hi, and _at_unit_max() the same profile
+scaled to maximum 1. All profiles are immutable after construction and all
+operations are pure.
 """
 
 from __future__ import annotations
@@ -32,12 +35,7 @@ from .errors import (
     ParameterError,
     ProfileError,
 )
-from .quadrature import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    adaptive_simpson,
-    unit_ball_volume,
-)
+from .quadrature import unit_ball_volume
 
 # Slope-difference tolerance certifying concavity of a piecewise-linear profile.
 CONCAVITY_TOL = 1e-9
@@ -213,18 +211,14 @@ class PiecewiseLinear:
         ts = np.concatenate([[lo], self.ts[(self.ts > lo) & (self.ts < hi)], [hi]])
         return ts, np.interp(ts, self.ts, self._unit)
 
-    def powered_integral_exact(self, beta, lo, hi):
-        if not hi > lo:
-            return 0.0
+    def integrals(self, beta, lo, hi):
         ts, hs = self._restricted(lo, hi)
-        mass, _ = _segments(hs[:-1], hs[1:], np.diff(ts), beta, False)
-        return float(mass.sum()) * self._top ** beta
+        mass, moment = _mass_moment(ts, hs[None], beta)
+        scale = self._top ** beta
+        return float(mass[0]) * scale, float(moment[0]) * scale
 
-    def moment_integral_exact(self, beta, lo, hi):
-        if not hi > lo:
-            return 0.0
-        ts, hs = self._restricted(lo, hi)
-        return float(_mass_moment(ts, hs[None], beta)[1][0]) * self._top ** beta
+    def _at_unit_max(self):
+        return PiecewiseLinear(np.column_stack([self.ts, self._unit]))
 
     def to_json(self):
         return {"breakpoints": [[float(t), float(h)] for t, h in zip(self.ts, self.hs)]}
@@ -260,7 +254,7 @@ class ConcaveProfile(PiecewiseLinear):
 class AnalyticProfile:
     """Base for closed-form profile families; subclasses fix the formula.
 
-    A copy made by _at_unit_max integrates h / max h instead of h (see there).
+    The copy made by _at_unit_max integrates h / max h instead of h.
     """
 
     kind = None
@@ -270,22 +264,16 @@ class AnalyticProfile:
     def domain(self):
         raise NotImplementedError
 
-    @property
-    def quadrature_breakpoints(self):
-        a, b = self.domain
-        return np.array([a, b])
-
     def value(self, t):
         raise NotImplementedError
 
     def max_value(self):
         raise NotImplementedError
 
-    def powered_integral_exact(self, beta, lo, hi):
-        return None
-
-    def moment_integral_exact(self, beta, lo, hi):
-        return None
+    def _at_unit_max(self):
+        unit = copy.copy(self)
+        unit._unit_max = True
+        return unit
 
     def to_json(self):
         return {"kind": self.kind, "params": self._params()}
@@ -324,11 +312,9 @@ class ConstantProfile(AnalyticProfile):
     def _scale(self, beta):
         return 1.0 if self._unit_max else self.c ** beta
 
-    def powered_integral_exact(self, beta, lo, hi):
-        return self._scale(beta) * max(hi - lo, 0.0)
-
-    def moment_integral_exact(self, beta, lo, hi):
-        return self._scale(beta) * 0.5 * (hi * hi - lo * lo) if hi > lo else 0.0
+    def integrals(self, beta, lo, hi):
+        scale = self._scale(beta)
+        return scale * (hi - lo), scale * 0.5 * (hi * hi - lo * lo)
 
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta}
@@ -362,26 +348,16 @@ class _PowerLawProfile(AnalyticProfile):
     def max_value(self):
         return self.c * (self.delta - self.gamma) ** self.q
 
-    def _integrals(self, beta, lo, hi, moment):
-        if not hi > lo:
-            return 0.0
+    def integrals(self, beta, lo, hi):
         length = self.delta - self.gamma
         end = self.gamma if self._sign > 0 else self.delta
         s0, s1 = sorted((self._sign * (lo - end) / length, self._sign * (hi - end) / length))
         m = self.q * beta
         scale = length if self._unit_max else self.max_value() ** beta * length
         mass = (s1 ** (m + 1.0) - s0 ** (m + 1.0)) / (m + 1.0)
-        if not moment:
-            return scale * mass
         # t = end + _sign L s
-        return scale * (end * mass + self._sign * length
-                        * (s1 ** (m + 2.0) - s0 ** (m + 2.0)) / (m + 2.0))
-
-    def powered_integral_exact(self, beta, lo, hi):
-        return self._integrals(beta, lo, hi, False)
-
-    def moment_integral_exact(self, beta, lo, hi):
-        return self._integrals(beta, lo, hi, True)
+        return scale * mass, scale * (end * mass + self._sign * length
+                                      * (s1 ** (m + 2.0) - s0 ** (m + 2.0)) / (m + 2.0))
 
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta, "q": self.q}
@@ -457,9 +433,7 @@ class BallSectionProfile(AnalyticProfile):
             return self.radius
         return self._kappa ** beta * self.radius ** (2.0 * e - 1.0)
 
-    def powered_integral_exact(self, beta, lo, hi):
-        if not hi > lo:
-            return 0.0
+    def integrals(self, beta, lo, hi):
         e = 0.5 * (self.dim - 1) * beta + 1.0
         (p0, q0), (p1, q1) = self._ends(lo), self._ends(hi)
         if p1 <= 0.5:  # left of the centre: two left tails
@@ -468,17 +442,10 @@ class BallSectionProfile(AnalyticProfile):
             unit = _ball_tail(q0, p0, e) - _ball_tail(q1, p1, e)
         else:  # across the centre: the whole less each side's own tail
             unit = 2.0 * _ball_tail(0.5, 0.5, e) - _ball_tail(p0, q0, e) - _ball_tail(q1, p1, e)
-        return max(unit, 0.0) * self._scale(beta, e)
-
-    def moment_integral_exact(self, beta, lo, hi):
-        if not hi > lo:
-            return 0.0
-        e = 0.5 * (self.dim - 1) * beta + 1.0
-        (p0, q0), (p1, q1) = self._ends(lo), self._ends(hi)
+        mass = max(unit, 0.0) * self._scale(beta, e)
         # int x (1 - x^2)^g dx = -(1 - x^2)^(g + 1) / (2 (g + 1)), with 1 - x^2 = 4 y (1 - y)
         odd = ((4.0 * p0 * q0) ** e - (4.0 * p1 * q1) ** e) / (2.0 * e)
-        return (self.center * self.powered_integral_exact(beta, lo, hi)
-                + odd * self.radius * self._scale(beta, e))
+        return mass, self.center * mass + odd * self.radius * self._scale(beta, e)
 
     def _params(self):
         return {"radius": self.radius, "dim": self.dim, "center": self.center}
@@ -548,11 +515,11 @@ class PowerProfile:
     def max_value(self):
         return self.base.max_value() ** self.exponent
 
-    def powered_integral_exact(self, beta, lo, hi):
-        return self.base.powered_integral_exact(beta * self.exponent, lo, hi)
+    def integrals(self, beta, lo, hi):
+        return self.base.integrals(beta * self.exponent, lo, hi)
 
-    def moment_integral_exact(self, beta, lo, hi):
-        return self.base.moment_integral_exact(beta * self.exponent, lo, hi)
+    def _at_unit_max(self):
+        return PowerProfile(self.base._at_unit_max(), self.exponent)
 
     def __repr__(self):
         return f"PowerProfile({self.base!r} ** {self.exponent:g})"
@@ -566,12 +533,8 @@ def power_profile(base, exponent):
         return power_profile(base.base, base.exponent * exponent)
     if isinstance(base, ConstantProfile):
         return ConstantProfile(base.c ** exponent, base.gamma, base.delta)
-    if isinstance(base, DecreasingPowerProfile):
-        return DecreasingPowerProfile(base.c ** exponent, base.gamma, base.delta,
-                                      base.q * exponent)
-    if isinstance(base, IncreasingPowerProfile):
-        return IncreasingPowerProfile(base.c ** exponent, base.gamma, base.delta,
-                                      base.q * exponent)
+    if isinstance(base, _PowerLawProfile):
+        return type(base)(base.c ** exponent, base.gamma, base.delta, base.q * exponent)
     return PowerProfile(base, exponent)
 
 
@@ -579,10 +542,8 @@ def reflect(h):
     """The profile t -> h(-t), with the matching reversed domain."""
     if isinstance(h, PowerProfile):
         return PowerProfile(reflect(h.base), h.exponent)
-    if isinstance(h, ConcaveProfile):
-        return ConcaveProfile(np.column_stack([-h.ts[::-1], h.hs[::-1]]))
-    if isinstance(h, PiecewiseLinear):
-        return PiecewiseLinear(np.column_stack([-h.ts[::-1], h.hs[::-1]]))
+    if isinstance(h, PiecewiseLinear):  # a ConcaveProfile stays one
+        return type(h)(np.column_stack([-h.ts[::-1], h.hs[::-1]]))
     if isinstance(h, ConstantProfile):
         return ConstantProfile(h.c, -h.delta, -h.gamma)
     if isinstance(h, DecreasingPowerProfile):
@@ -673,53 +634,53 @@ def _range_error(what, beta):
     return FloatRangeError(f"{what} at power {beta:g} leaves the float range")
 
 
-def powered_integral(h, beta, interval=None, spec=DEFAULT_QUADRATURE):
+def _integral(h, beta, interval, moment):
+    """h's own mass or moment at power beta > 0 over the interval, in range."""
+    if not beta > 0.0:
+        raise ParameterError(f"beta must be positive, got {beta}")
+    what = "powered moment" if moment else "powered mass"
+    lo, hi = _check_interval(h, interval)
+    if not hi > lo:
+        return 0.0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            val = h.integrals(beta, lo, hi)[moment]
+    except OverflowError as exc:
+        raise _range_error(what, beta) from exc
+    if not math.isfinite(val):
+        raise _range_error(what, beta)
+    return float(val)
+
+
+def powered_integral(h, beta, interval=None):
     """int h(t)^beta dt over the interval (default: full domain).
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    lo, hi = _check_interval(h, interval)
-    try:
-        val = h.powered_integral_exact(beta, lo, hi)
-        if val is None:
-            val = adaptive_simpson(lambda t: float(h.value(t)) ** beta, lo, hi, spec,
-                                   breakpoints=h.quadrature_breakpoints)
-    except OverflowError as exc:
-        raise _range_error("powered mass", beta) from exc
-    if not math.isfinite(val):
-        raise _range_error("powered mass", beta)
-    return max(float(val), 0.0)
+    return max(_integral(h, beta, interval, False), 0.0)
 
 
-def moment_integral(h, beta, interval=None, spec=DEFAULT_QUADRATURE):
+def moment_integral(h, beta, interval=None):
     """int t h(t)^beta dt over the interval (default: full domain).
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    lo, hi = _check_interval(h, interval)
-    try:
-        val = h.moment_integral_exact(beta, lo, hi)
-        if val is None:
-            val = adaptive_simpson(lambda t: t * float(h.value(t)) ** beta, lo, hi, spec,
-                                   breakpoints=h.quadrature_breakpoints)
-    except OverflowError as exc:
-        raise _range_error("powered moment", beta) from exc
-    if not math.isfinite(val):
-        raise _range_error("powered moment", beta)
-    return float(val)
+    return _integral(h, beta, interval, True)
 
 
-def powered_split(h, beta, cut, spec=DEFAULT_QUADRATURE):
+def _indicator(h):
+    """The indicator of {h > 0} as a profile where h can vanish on a stretch
+    (a histogram with empty bins); None where {h > 0} is the whole domain."""
+    while isinstance(h, PowerProfile):
+        h = h.base
+    return h._support() if hasattr(h, "_support") else None
+
+
+def powered_split(h, beta, cut):
     """(int_a^b h^beta, int_cut^b h^beta) for a cut inside the domain.
 
-    beta = 0 gives the lengths of {h > 0} and of its part right of the cut;
-    a profile outside the segment kernel is taken as positive inside its
-    domain, as every closed form is. Raises FloatRangeError when the masses
-    leave the float range.
+    beta = 0 gives the lengths of {h > 0} and of its part right of the cut.
+    Raises FloatRangeError when the masses leave the float range.
     """
     _check_exponent("beta", beta)
     a, b = h.domain
@@ -732,23 +693,9 @@ def powered_split(h, beta, cut, spec=DEFAULT_QUADRATURE):
             raise _range_error("powered mass", beta) from exc
         return float(total[0]) * scale, float(right[0]) * scale
     if beta == 0.0:
-        return b - a, b - cut
-    return powered_integral(h, beta, spec=spec), powered_integral(h, beta, (cut, b), spec=spec)
-
-
-def _at_unit_max(h):
-    """The profile h / max h for the integrals of a scale-free quantity, or
-    None for a kind that cannot be scaled so."""
-    if isinstance(h, PowerProfile):
-        base = _at_unit_max(h.base)
-        return None if base is None else PowerProfile(base, h.exponent)
-    if isinstance(h, PiecewiseLinear):
-        return PiecewiseLinear(np.column_stack([h.ts, h._unit]))
-    if isinstance(h, AnalyticProfile):
-        unit = copy.copy(h)
-        unit._unit_max = True
-        return unit
-    return None
+        support = _indicator(h)
+        return (b - a, b - cut) if support is None else powered_split(support, 1.0, cut)
+    return powered_integral(h, beta), powered_integral(h, beta, (cut, b))
 
 
 def _scale_free(fn, h, *args):
@@ -760,23 +707,20 @@ def _scale_free(fn, h, *args):
     try:
         return fn(h, *args)
     except (FloatRangeError, DegenerateProfileError):
-        unit = _at_unit_max(h)
-        if unit is None:
-            raise
-        return fn(unit, *args)
+        return fn(h._at_unit_max(), *args)
 
 
-def _centroid_mass(h, alpha, spec):
+def _centroid_mass(h, alpha):
     """(g_alpha(h), int h^alpha) for h outside the segment kernel, alpha > 0."""
-    total = powered_integral(h, alpha, spec=spec)
-    moment = moment_integral(h, alpha, spec=spec)
+    total = powered_integral(h, alpha)
+    moment = moment_integral(h, alpha)
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass; centroid undefined")
     a, b = h.domain
     return min(max(moment / total, a), b), total
 
 
-def alpha_centroid(h, alpha, spec=DEFAULT_QUADRATURE):
+def alpha_centroid(h, alpha):
     """Weighted mean g_alpha(h) = int t h^alpha / int h^alpha.
 
     alpha = 0 weighs by the indicator of {h > 0} (the alpha -> 0 limit); on
@@ -794,30 +738,31 @@ def alpha_centroid(h, alpha, spec=DEFAULT_QUADRATURE):
             raise DegenerateProfileError("zero total powered mass; centroid undefined")
         return min(max(moment / total, a), b)
     if alpha == 0.0:
-        return 0.5 * (a + b)
-    return _scale_free(_centroid_mass, h, alpha, spec)[0]
+        support = _indicator(h)
+        return 0.5 * (a + b) if support is None else alpha_centroid(support, 1.0)
+    return _scale_free(_centroid_mass, h, alpha)[0]
 
 
-def _centroid_split(h, alpha, beta, spec):
+def _centroid_split(h, alpha, beta):
     """(g_alpha(h), int h^beta, int_g^b h^beta). Outside the segment kernel
     the total beta-powered mass is the centroid's own when alpha = beta."""
     if isinstance(h, PiecewiseLinear) or alpha == 0.0:
-        cut = alpha_centroid(h, alpha, spec=spec)
-        return (cut, *powered_split(h, beta, cut, spec=spec))
-    cut, mass = _centroid_mass(h, alpha, spec)
+        cut = alpha_centroid(h, alpha)
+        return (cut, *powered_split(h, beta, cut))
+    cut, mass = _centroid_mass(h, alpha)
     if beta != alpha:
-        return (cut, *powered_split(h, beta, cut, spec=spec))
-    return cut, mass, powered_integral(h, beta, (cut, h.domain[1]), spec=spec)
+        return (cut, *powered_split(h, beta, cut))
+    return cut, mass, powered_integral(h, beta, (cut, h.domain[1]))
 
 
-def _ratio_cut(h, alpha, beta, spec):
-    cut, total, right = _centroid_split(h, alpha, beta, spec)
+def _ratio_cut(h, alpha, beta):
+    cut, total, right = _centroid_split(h, alpha, beta)
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass")
     return right / total, cut
 
 
-def _tail_ratio_cut(h, alpha, beta, spec):
+def _tail_ratio_cut(h, alpha, beta):
     """The tail-mass ratio of h and the alpha-centroid it is cut at."""
     _check_exponent("alpha", alpha)
     _check_exponent("beta", beta)
@@ -826,10 +771,10 @@ def _tail_ratio_cut(h, alpha, beta, spec):
             raise DegenerateProfileError("zero total powered mass")
         ratio, cut = _tail_ratios(h.ts, h.hs[None], alpha, beta)
         return float(ratio[0]), float(cut[0])
-    return _scale_free(_ratio_cut, h, alpha, beta, spec)
+    return _scale_free(_ratio_cut, h, alpha, beta)
 
 
-def tail_mass_ratio(h, alpha, beta, spec=DEFAULT_QUADRATURE):
+def tail_mass_ratio(h, alpha, beta):
     """Right-tail powered-mass fraction cut at the alpha-centroid.
 
     Returns int_{g_alpha(h)}^b h^beta / int_a^b h^beta, a number in (0, 1).
@@ -838,21 +783,23 @@ def tail_mass_ratio(h, alpha, beta, spec=DEFAULT_QUADRATURE):
     cut over the length of {h > 0}. Scale-free: a profile whose powers leave
     the float range gives the ratio of h / max h.
     """
-    return _tail_ratio_cut(h, alpha, beta, spec)[0]
+    return _tail_ratio_cut(h, alpha, beta)[0]
 
 
-def integration_provenance(h, powers, spec=DEFAULT_QUADRATURE):
+def integration_provenance(h, powers):
     """Describe how a report's integrals of h at these powers were computed.
 
-    "exact" when the profile's closed forms give both the mass and the
-    moment at every power (probed on the empty interval at the left end,
-    which costs no integration); otherwise adaptive quadrature served some.
+    "exact" when closed forms, or a Gauss rule that is exact at that power,
+    gave the mass and the moment at every power; otherwise the fixed Gauss
+    rule of a spline profile served some, and its node count is named.
     """
-    a = h.domain[0]
-    if all(h.powered_integral_exact(p, a, a) is not None
-           and h.moment_integral_exact(p, a, a) is not None for p in powers):
+    while isinstance(h, PowerProfile):
+        powers, h = [p * h.exponent for p in powers], h.base
+    nodes = [n for n, exact in map(h._rule, powers) if not exact] if hasattr(h, "_rule") else []
+    if not nodes:
         return {"kind": "exact"}
-    return {"kind": "quadrature", "abs_tol": spec.abs_tol}
+    return {"kind": "quadrature", "rule": "gauss-legendre, gauss-jacobi at ends",
+            "nodes": max(nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -991,7 +938,7 @@ def superlevel_measure_concavity_check(h, beta, grid_size=512, tol=1e-7):
                            float(levels[worst + 1]))
 
 
-def tail_masses(h, beta, cuts, spec=DEFAULT_QUADRATURE):
+def tail_masses(h, beta, cuts):
     """int_{max(s, a)}^{b} h^beta dt for an array of cut positions s.
 
     Cuts at or beyond b give 0. For piecewise-linear profiles this is the
@@ -1010,4 +957,4 @@ def tail_masses(h, beta, cuts, spec=DEFAULT_QUADRATURE):
             return (part + after[i + 1]) * h._top ** beta
         except OverflowError as exc:
             raise _range_error("powered mass", beta) from exc
-    return np.array([powered_integral(h, beta, (si, b), spec=spec) for si in s])
+    return np.array([powered_integral(h, beta, (si, b)) for si in s])

@@ -1,34 +1,33 @@
-"""Adaptive Simpson quadrature for the profile kinds without antiderivatives."""
+"""Fixed Gauss rules for the spline section profiles, and adaptive Simpson.
+
+The profile engine integrates by closed forms and fixed Gauss rules only:
+_gauss_jacobi(n, gamma) is the n-node rule on [0, 1] for the weight y^gamma
+(gamma = 0 is Gauss-Legendre), from the eigenvalues of the Jacobi matrix
+(Golub & Welsch, 1969). adaptive_simpson is a reference integrator for tests
+of the closed forms; no profile integral calls it.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerance and budget for adaptive integration.
-
-    abs_tol is an absolute tolerance on each requested integral;
-    max_subdivisions bounds the recursion depth per smooth piece.
-    """
-
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 60
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0):
-            raise ParameterError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be at least 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+@lru_cache(maxsize=64)
+def _gauss_jacobi(n, gamma):
+    """Nodes y and weights w with sum w p(y) = int_0^1 y^gamma p(y) dy for
+    every polynomial p of degree below 2 n."""
+    # three-term recurrence of the Jacobi polynomials P^(0, gamma) on [-1, 1]
+    k = np.arange(1.0, n)
+    s = 2.0 * k + gamma
+    diag = np.concatenate([[gamma / (gamma + 2.0)], gamma * gamma / (s * (s + 2.0))])
+    off = np.sqrt(4.0 * k * k * (k + gamma) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), vec[0] ** 2 / (gamma + 1.0)
 
 
 def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
@@ -48,35 +47,26 @@ def _adaptive(f, a, fa, b, fb, m, fm, whole, tol, depth):
     return lv + rv, lok and rok
 
 
-def adaptive_simpson(f, a, b, spec=DEFAULT_QUADRATURE, breakpoints=()):
-    """Integrate f on [a, b] to spec.abs_tol, splitting at known breakpoints.
+def adaptive_simpson(f, a, b, abs_tol=1e-10, max_subdivisions=60):
+    """Integrate f on [a, b] to abs_tol by adaptive Simpson bisection.
 
-    Raises ConvergenceError (carrying the best estimate) if any piece fails
-    to converge within spec.max_subdivisions bisection levels.
+    Raises ConvergenceError (carrying the best estimate) if it does not
+    converge within max_subdivisions bisection levels.
     """
+    if not abs_tol > 0.0:
+        raise ParameterError(f"abs_tol must be positive, got {abs_tol}")
+    if max_subdivisions < 1:
+        raise ParameterError("max_subdivisions must be at least 1")
     if b <= a:
         return 0.0
-    cuts = [a]
-    for t in sorted(breakpoints):
-        if a < t < b and t - cuts[-1] > 1e-15 * (b - a):
-            cuts.append(float(t))
-    cuts.append(b)
-    total = 0.0
-    converged = True
-    length = b - a
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        tol = spec.abs_tol * max((hi - lo) / length, 1e-3)
-        mid = 0.5 * (lo + hi)
-        flo, fmid, fhi = f(lo), f(mid), f(hi)
-        whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        val, ok = _adaptive(f, lo, flo, hi, fhi, mid, fmid, whole,
-                            tol, spec.max_subdivisions)
-        total += val
-        converged = converged and ok
+    mid = 0.5 * (a + b)
+    fa, fmid, fb = f(a), f(mid), f(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fmid + fb)
+    total, converged = _adaptive(f, a, fa, b, fb, mid, fmid, whole, abs_tol, max_subdivisions)
     if not converged:
         raise ConvergenceError(
-            f"quadrature did not converge to abs_tol={spec.abs_tol} "
-            f"within {spec.max_subdivisions} subdivisions", best_estimate=total)
+            f"quadrature did not converge to abs_tol={abs_tol} "
+            f"within {max_subdivisions} subdivisions", best_estimate=total)
     return total
 
 

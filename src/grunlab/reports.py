@@ -13,8 +13,8 @@ class TheoremReport:
     """One verification: a measured ratio against a sharp lower bound.
 
     slack = ratio - bound; the verdict passes iff slack >= -tolerance.
-    provenance records how every number was produced (exact arithmetic,
-    quadrature tolerance, or Monte Carlo sample metadata) together with the
+    provenance records how every number was produced (exact arithmetic, the
+    Gauss rule and its nodes, or Monte Carlo sample metadata) together with the
     full parameterization, so any report can be reproduced.
     """
 

@@ -260,6 +260,21 @@ def reference_mc_estimates(body, u, cut, mc, chunks):
     return values, sigma, frac, math.sqrt(max(frac * (1.0 - frac), 0.0) / inside)
 
 
+def chord_length(poly, u, t):
+    """Length of the polygon's intersection with the line <x, u> = t, from its
+    edge crossings (u a unit vector)."""
+    perp = np.array([-u[1], u[0]])
+    dots = poly.verts @ u - t
+    scale = max(float(np.abs(dots).max()), 1e-300)
+    spans = []
+    for p, q, dp, dq in zip(poly.verts, np.roll(poly.verts, -1, axis=0), dots, np.roll(dots, -1)):
+        if abs(dp) <= 1e-14 * scale:
+            spans.append(float(p @ perp))
+        if (dp < 0 < dq) or (dq < 0 < dp):
+            spans.append(float((p + dp / (dp - dq) * (q - p)) @ perp))
+    return max(spans) - min(spans) if len(spans) >= 2 else 0.0
+
+
 def random_convex_polygon(rng, n_pts=12):
     """Convex hull (ccw) of random planar points."""
     pts = rng.normal(size=(n_pts, 2))

@@ -1,5 +1,8 @@
 """Bodies: supports, sections, centroids, verifiers, revolution round trips."""
 
+import importlib
+import inspect
+import pkgutil
 import time
 
 import numpy as np
@@ -19,6 +22,7 @@ from grunlab.errors import (
 from conftest import (
     BoxSections,
     SimplexSections,
+    chord_length,
     exact_section_integrals,
     load_fixture,
     random_convex_polygon,
@@ -86,7 +90,7 @@ def test_polygon_profile_is_exact_chord():
     assert gl.powered_integral(prof, 1.0) == pytest.approx(poly.volume(), rel=1e-12)
     a, b = prof.domain
     for t in np.linspace(a, b, 7):
-        assert gl.evaluate(prof, t) == pytest.approx(poly.chord_length(u, t), abs=1e-12)
+        assert gl.evaluate(prof, t) == pytest.approx(chord_length(poly, u, t), abs=1e-12)
 
 
 def test_cube_diagonal_section():
@@ -206,15 +210,28 @@ def test_verify_grunbaum_r_off_centre_disk_below_r_one_is_fast():
     assert abs(rep.details["lower_fraction"] - 0.5) <= 1e-14
 
 
-def test_ball_integrals_never_reach_adaptive_simpson(monkeypatch):
-    calls = []
-    simpson = gl.profiles.adaptive_simpson
+def test_no_production_path_reaches_adaptive_simpson(monkeypatch):
+    """Adaptive Simpson is a reference integrator only: no module but
+    quadrature binds it, no public callable takes a quadrature spec, and the
+    ball, piecewise-linear, power-law, revolution and spline routes run with
+    it disabled and report no abs_tol."""
+    modules = [gl] + [importlib.import_module(f"grunlab.{m.name}")
+                      for m in pkgutil.iter_modules(gl.__path__)]
+    for mod in modules:
+        if mod.__name__ != "grunlab.quadrature":
+            assert not hasattr(mod, "adaptive_simpson"), mod.__name__
+        for name, obj in vars(mod).items():
+            if not name.startswith("_") and callable(obj) and not isinstance(obj, type(gl)):
+                try:
+                    params = inspect.signature(obj).parameters
+                except (TypeError, ValueError):
+                    continue
+                assert "spec" not in params, f"{mod.__name__}.{name}"
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return simpson(*args, **kwargs)
+    def disabled(*args, **kwargs):
+        raise AssertionError("adaptive_simpson called")
 
-    monkeypatch.setattr(gl.profiles, "adaptive_simpson", counted)
+    monkeypatch.setattr(gl.quadrature, "adaptive_simpson", disabled)
     rng = np.random.default_rng(61)
     h = gl.BallSectionProfile(1.3, 5, center=0.4)
     for beta in (1.0 / 3.0, 1.0, 2.5):
@@ -223,24 +240,30 @@ def test_ball_integrals_never_reach_adaptive_simpson(monkeypatch):
         gl.tail_mass_ratio(h, beta, 1.0)
         gl.tail_masses(h, beta, [-0.3, 0.5])
         gl.tail_mass_ratio(gl.power_profile(h, 0.5), beta, 1.0)
+    reports = []
     for n in (2, 3, 6):
         ball = gl.Ball(rng.normal(size=n), 1.0)
-        gl.verify_grunbaum_r(ball, _rand_unit(rng, n), 1.0 / (n - 1), 0.5)
-        gl.verify_makai_fradelizi(ball, _rand_unit(rng, n))
-    gl.verify_grunbaum_r(gl.revolve(gl.BallSectionProfile(1.0, 4), 4), np.eye(4)[0], 1.0 / 3, 2.0)
-    assert not calls
-    spline = gl.exact_section_profile(gl.Simplex(rng.normal(size=(4, 3))), _rand_unit(rng, 3))
-    gl.powered_integral(spline, 1.5)
-    assert calls  # the counter does see quadrature where it runs
+        reports.append(gl.verify_grunbaum_r(ball, _rand_unit(rng, n), 1.0 / (n - 1), 0.5))
+        reports.append(gl.verify_makai_fradelizi(ball, _rand_unit(rng, n)))
+    reports.append(gl.verify_grunbaum_r(gl.revolve(gl.BallSectionProfile(1.0, 4), 4),
+                                        np.eye(4)[0], 1.0 / 3, 2.0))
+    reports.append(gl.verify_functional(gl.random_concave(3, 9), 0.7, 2.3))
+    reports.append(gl.verify_functional(gl.DecreasingPowerProfile(1.3, 0.2, 1.7, 0.8), 0.7, 2.3))
+    assert all(rep.provenance["kind"] == "exact" for rep in reports)
+    simplex = gl.Simplex(rng.normal(size=(4, 3)))
+    rep = gl.verify_grunbaum_r(simplex, _rand_unit(rng, 3), 0.5, 1.5)
+    reports.append(rep)
+    assert (rep.provenance["kind"], rep.provenance["nodes"]) == ("quadrature", 40)
+    assert not any("abs_tol" in rep.provenance for rep in reports)
 
 
 def test_grunbaum_r_at_r_one_integrates_the_total_mass_once(monkeypatch):
     calls = []
     real = gl.profiles.powered_integral
 
-    def counted(h, beta, interval=None, spec=gl.DEFAULT_QUADRATURE):
+    def counted(h, beta, interval=None):
         calls.append(interval)
-        return real(h, beta, interval, spec)
+        return real(h, beta, interval)
 
     rng = np.random.default_rng(71)
     for body in (gl.Ball(rng.normal(size=4), 1.3), gl.Simplex(rng.normal(size=(4, 3)))):
@@ -267,7 +290,8 @@ def test_provenance_names_the_route_at_the_powers_used():
     u = _rand_unit(rng, 4)
     assert gl.verify_grunbaum_r(simplex, u, 1.0 / 3, 1.0).provenance["kind"] == "exact"
     prov = gl.verify_grunbaum_r(simplex, u, 1.0 / 3, 0.5).provenance
-    assert (prov["kind"], prov["abs_tol"]) == ("quadrature", 1e-10)
+    assert (prov["kind"], prov["nodes"]) == ("quadrature", 40)
+    assert "abs_tol" not in prov
 
 
 @pytest.mark.parametrize("body", [gl.Simplex([[0.0], [1.0]]), gl.Ball([0.5], 0.5),
@@ -455,6 +479,22 @@ def test_high_dimensional_polytopes_exact_equals_mc():
     prof = gl.exact_section_profile(simplex4, np.array([1.0, 0, 0, 0]))
     assert isinstance(prof, gl.DecreasingPowerProfile)
     assert prof.q == 3.0
+    # at non-integer r the exact lower fraction at the exact cut agrees with
+    # a sampled count at that cut; a perturbed standard simplex fills about
+    # 1/n! of its bounding box, so a million samples put some 1,400 inside in
+    # R^6, and a box's cut is its centre
+    rng = np.random.default_rng(89)
+    mc = gl.McSpec(seed=89, samples=1_000_000)
+    for n in (4, 5, 6):
+        lo = rng.normal(size=n)
+        fat = np.vstack([np.zeros(n), np.eye(n)]) + 0.2 * rng.normal(size=(n + 1, n))
+        for body in (gl.Simplex(fat), gl.Box(lo, lo + rng.uniform(0.5, 2.0, n))):
+            u = _rand_unit(rng, n)
+            for r in (0.5, 2.5):
+                rep = gl.verify_grunbaum_r(body, u, 1.0 / (n - 1), r)
+                assert rep.passed and rep.provenance["kind"] == "quadrature"
+                est = gl.mc_halfspace_fraction(body, u, rep.details["cut"], mc)
+                assert abs(rep.details["lower_fraction"] - est.value) <= 4.0 * est.sigma
     # a box above R^6 along a generic direction still needs Monte Carlo
     box7, u7 = gl.Box(np.zeros(7), np.ones(7)), np.arange(1.0, 8.0)
     assert gl.exact_section_profile(box7, u7) is None
@@ -613,16 +653,115 @@ def test_polytope_integer_powers_match_rational_integrals(name, body, u, oracle)
                 <= 1e-12 * scale
 
 
+def _split_quad(prof, beta, lo, hi, moment=False):
+    """int_lo^hi f^beta (t f^beta with moment) by scipy quad on each knot interval."""
+    knots = prof.quadrature_breakpoints
+    cuts = [lo, *knots[(knots > lo) & (knots < hi)], hi]
+    if moment:
+        def fn(t): return t * prof.value(t) ** beta
+    else:
+        def fn(t): return prof.value(t) ** beta
+    return sum(quad(fn, c, d, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for c, d in zip(cuts[:-1], cuts[1:]))
+
+
+def _assert_rule_matches_quad(prof, beta, intervals):
+    a, b = prof.domain
+    for lo, hi in intervals:
+        mass = _split_quad(prof, beta, lo, hi)
+        assert abs(gl.powered_integral(prof, beta, (lo, hi)) - mass) <= 1e-12 * mass
+        moment = _split_quad(prof, beta, lo, hi, moment=True)
+        assert abs(gl.moment_integral(prof, beta, (lo, hi)) - moment) \
+            <= 1e-12 * mass * max(abs(a), abs(b))
+
+
+def _end_intervals(prof):
+    """The support, and sub-intervals with an end inside the first or the last
+    knot interval."""
+    a, b = prof.domain
+    knots = prof.quadrature_breakpoints
+    first, last = knots[1], knots[-2]
+    return [(a, b), (a + 0.3 * (first - a), b - 0.6 * (b - last)),
+            (0.5 * (a + b), b - 0.2 * (b - last)), (a + 0.05 * (first - a), a + 0.9 * (first - a))]
+
+
 def test_spline_profile_non_integer_power_uses_quadrature():
     rng = np.random.default_rng(47)
     body = gl.Simplex(rng.normal(size=(4, 3)))
     u = _rand_unit(rng, 3)
     prof = gl.exact_section_profile(body, u)
-    assert prof.powered_integral_exact(1.5, *prof.domain) is None
+    _assert_rule_matches_quad(prof, 1.5, _end_intervals(prof))
+    assert gl.profiles.integration_provenance(prof, (1.5,))["nodes"] == 40
+    assert gl.profiles.integration_provenance(prof, (2.0,)) == {"kind": "exact"}
+
+
+def _rule_cases():
+    rng = np.random.default_rng(83)
+    cases = []
+    for n in range(3, 7):
+        lo = rng.normal(size=n)
+        cases += [(f"simplex{n}", gl.Simplex(rng.normal(size=(n + 1, n))), _rand_unit(rng, n)),
+                  (f"box{n}", gl.Box(lo, lo + rng.uniform(0.5, 2.0, n)), _rand_unit(rng, n))]
+    tied = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
+    return cases + [("simplex4-tied", gl.Simplex(np.vstack([np.zeros(4), np.eye(4)])), tied)]
+
+
+RULE_CASES = _rule_cases()
+
+
+@pytest.mark.parametrize("name,body,u", RULE_CASES, ids=[c[0] for c in RULE_CASES])
+def test_spline_rule_matches_split_quad(name, body, u):
+    """The fixed rule against scipy quad on each knot interval, at powers
+    below 1, non-integer powers above it and a large integer power, on the
+    profile scaled to maximum 1 (the large power would underflow otherwise)."""
+    prof = gl.exact_section_profile(body, u)._at_unit_max()
+    assert isinstance(prof, SimplexSplineProfile)
+    # boxes in R^5 and R^6 have 120 and 720 simplices, and quad's scalar
+    # evaluations of them cost seconds per power
+    powers = {"box5": (0.5, 2.5, 7.3), "box6": (0.5,)}.get(
+        name, (1.0 / 3.0, 0.5, 1.5, 2.5, 7.3, 150.0))
+    for beta in powers:
+        _assert_rule_matches_quad(prof, beta, _end_intervals(prof)[:2 if body.dim > 4 else 4])
+
+
+def test_spline_rule_is_fast_at_large_and_non_integer_powers():
+    rng = np.random.default_rng(1)
+    tetra = gl.Simplex(rng.normal(size=(4, 3)) * 10)
+    prof = gl.exact_section_profile(tetra, rng.normal(size=3))
+    start = time.perf_counter()
+    mass = gl.powered_integral(prof, 100.0)
+    assert time.perf_counter() - start < 1.0
+    assert mass == pytest.approx(_split_quad(prof, 100.0, *prof.domain), rel=1e-12)
+    box = gl.Box([0.1161, -0.0979, 0.1275], [3.1407, 383.9414, 1.115])
+    u = np.array([-0.24926, 0.0022, -0.96843])
+    for r in (0.5, 2.5):
+        start = time.perf_counter()
+        rep = gl.verify_grunbaum_r(box, u, 0.5, r)
+        assert time.perf_counter() - start < 1.0
+        assert rep.passed
+    simplex5 = gl.Simplex(rng.normal(size=(6, 5)))
+    u5 = _rand_unit(rng, 5)
+    prof = gl.exact_section_profile(simplex5, u5)
     a, b = prof.domain
-    want = quad(lambda t: prof.value(t) ** 1.5, a, b, points=prof.quadrature_breakpoints,
-                epsabs=1e-13, limit=200)[0]
-    assert gl.powered_integral(prof, 1.5) == pytest.approx(want, rel=1e-9)
+    want = _split_quad(prof, 2.5, a, b, moment=True) / _split_quad(prof, 2.5, a, b)
+    assert abs(gl.r_centroid_point(simplex5, u5, 2.5) - want) <= 1e-13 * max(abs(a), abs(b))
+
+
+def test_spline_ratios_are_scale_free():
+    rng = np.random.default_rng(1)
+    tetra = gl.Simplex(rng.normal(size=(4, 3)) * 10)
+    prof = gl.exact_section_profile(tetra, rng.normal(size=3))
+    unit = prof._at_unit_max()
+    assert unit.max_value() == pytest.approx(1.0, rel=1e-14)
+    with np.errstate(over="raise", invalid="raise"):  # no warning escapes
+        with pytest.raises(gl.FloatRangeError):
+            gl.powered_integral(prof, 600.0)
+        for beta in (600.0, 640.5):
+            assert gl.tail_mass_ratio(prof, 1.0, beta) == gl.tail_mass_ratio(unit, 1.0, beta)
+            assert gl.alpha_centroid(prof, beta) == gl.alpha_centroid(unit, beta)
+    tiny = SimplexSplineProfile(prof.knots, prof.volumes * 1e-300)
+    assert gl.tail_mass_ratio(tiny, 2.0, 3.5) == pytest.approx(
+        gl.tail_mass_ratio(prof, 2.0, 3.5), rel=1e-12)
 
 
 def test_spline_profile_takes_facet_area_at_the_ends():

@@ -20,6 +20,7 @@ from grunlab.errors import (
     ParameterError,
     ProfileError,
 )
+from grunlab.quadrature import adaptive_simpson
 
 from conftest import (
     exact_centroid,
@@ -120,21 +121,19 @@ def test_pl_integrals_match_quadrature_oracle(beta):
 
 
 def test_powered_integral_additivity(affine):
-    spec = gl.DEFAULT_QUADRATURE
     for prof in random_profiles(3, 8, m=9):
         a, b = prof.domain
         mid = 0.456 * a + 0.544 * b
-        whole = gl.powered_integral(prof, 1.7, spec=spec)
-        parts = gl.powered_integral(prof, 1.7, (a, mid), spec=spec) \
-            + gl.powered_integral(prof, 1.7, (mid, b), spec=spec)
-        assert abs(whole - parts) <= 2.0 * spec.abs_tol + 1e-12 * whole
+        whole = gl.powered_integral(prof, 1.7)
+        parts = gl.powered_integral(prof, 1.7, (a, mid)) + gl.powered_integral(prof, 1.7, (mid, b))
+        assert abs(whole - parts) <= 1e-12 * whole
 
 
 def test_closed_form_matches_adaptive_simpson_on_power_profiles():
     h = gl.DecreasingPowerProfile(1.3, 0.2, 1.7, 0.8)
     for beta in (0.5, 1.0, 2.5):
         exact = gl.powered_integral(h, beta)
-        numeric = gl.adaptive_simpson(lambda t: float(h.value(t)) ** beta, 0.2, 1.7)
+        numeric = adaptive_simpson(lambda t: float(h.value(t)) ** beta, 0.2, 1.7)
         assert numeric == pytest.approx(exact, rel=1e-9)
 
 
@@ -212,10 +211,12 @@ def test_increasing_power_profile_matches_quad():
 
 
 def test_quadrature_convergence_error_carries_best_estimate():
-    spec = gl.QuadratureSpec(abs_tol=1e-13, max_subdivisions=2)
     with pytest.raises(gl.ConvergenceError) as err:
-        gl.adaptive_simpson(lambda t: np.sqrt(abs(t)), -1.0, 1.0, spec)
+        adaptive_simpson(lambda t: np.sqrt(abs(t)), -1.0, 1.0, abs_tol=1e-13, max_subdivisions=2)
     assert err.value.best_estimate == pytest.approx(4.0 / 3.0, rel=1e-2)
+    for bad in ({"abs_tol": 0.0}, {"max_subdivisions": 0}):
+        with pytest.raises(ParameterError):
+            adaptive_simpson(np.sqrt, 0.0, 1.0, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +354,37 @@ def test_power_zero_weighs_by_the_indicator_of_positive_h():
     assert gl.alpha_centroid(dips, 0.0) == 1.5
 
 
+def test_histogram_power_zero_weighs_by_the_non_empty_bins():
+    # the first bin is empty, so the powers' -> 0 limits see only (1, 3)
+    h = gl.HistogramProfile([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0])
+    assert gl.tail_mass_ratio(h, 1.0, 0.0) == 0.5
+    assert gl.alpha_centroid(h, 0.0) == 2.0
+    assert gl.tail_mass_ratio(h, 1.0, 0.0) == pytest.approx(
+        gl.tail_mass_ratio(h, 1.0, 1e-9), abs=1e-8)
+    assert gl.alpha_centroid(h, 0.0) == pytest.approx(gl.alpha_centroid(h, 1e-9), abs=1e-8)
+    assert gl.tail_mass_ratio(gl.power_profile(h, 2.0), 0.0, 1.0) == pytest.approx(
+        gl.tail_mass_ratio(h, 1e-9, 2.0), abs=1e-8)
+    # no empty bin: the midpoint and the length right of the cut, as before
+    full = gl.HistogramProfile([0.0, 1.0, 2.0, 3.0], [2.0, 1.0, 1.0])
+    assert gl.alpha_centroid(full, 0.0) == 1.5
+    cut = gl.alpha_centroid(full, 1.0)
+    assert gl.tail_mass_ratio(full, 1.0, 0.0) == (3.0 - cut) / 3.0
+
+
+def test_histogram_ratios_are_scale_free():
+    h = gl.HistogramProfile([0.0, 1.0, 2.0], [3.0, 4.0])
+    # g_1 = 15/14; the tail at power 700 is 4^700 (2 - g_1) over 3^700 + 4^700
+    want = (2.0 - 15.0 / 14.0) / (1.0 + 0.75 ** 700)
+    with np.errstate(over="raise"):
+        assert gl.tail_mass_ratio(h, 1.0, 700.0) == pytest.approx(want, rel=1e-14)
+        assert gl.alpha_centroid(h, 700.0) == pytest.approx(1.5, rel=1e-14)
+        with pytest.raises(gl.FloatRangeError):
+            gl.powered_integral(h, 700.0)
+    tiny = gl.HistogramProfile([0.0, 1.0, 2.0], [3e-300, 4e-300])
+    assert gl.tail_mass_ratio(tiny, 1.0, 2.0) == pytest.approx(
+        gl.tail_mass_ratio(h, 1.0, 2.0), rel=1e-14)
+
+
 def test_scale_free_results_at_large_powers_come_from_the_profile_at_max_one():
     ball = gl.BallSectionProfile(1.0, 3)
     assert gl.tail_mass_ratio(ball, 1.0, 700.0) == pytest.approx(0.5, abs=1e-12)
@@ -390,13 +422,13 @@ def test_equal_powers_integrate_the_total_mass_once(monkeypatch):
     calls = []
     real = gl.profiles.powered_integral
 
-    def counted(h, beta, interval=None, spec=gl.DEFAULT_QUADRATURE):
+    def counted(h, beta, interval=None):
         calls.append(interval)
-        return real(h, beta, interval, spec)
+        return real(h, beta, interval)
 
     monkeypatch.setattr(gl.profiles, "powered_integral", counted)
     h = gl.BallSectionProfile(1.3, 4, center=-0.2)
-    ratio, cut = gl.profiles._tail_ratio_cut(h, 2.0, 2.0, gl.DEFAULT_QUADRATURE)
+    ratio, cut = gl.profiles._tail_ratio_cut(h, 2.0, 2.0)
     assert calls == [None, (cut, h.domain[1])]
     assert ratio == real(h, 2.0, (cut, h.domain[1])) / real(h, 2.0)
     cut = gl.alpha_centroid(h, 1.0)
