@@ -27,10 +27,12 @@ import numpy as np
 from .bounds import classic_bounds, grunbaum_r_bound
 from .errors import (
     DegenerateBodyError,
+    DegenerateProfileError,
     DomainError,
     GrunlabError,
     ParameterError,
     PreconditionError,
+    ProfileError,
 )
 from .profiles import (
     BallSectionProfile,
@@ -38,8 +40,8 @@ from .profiles import (
     ConstantProfile,
     DecreasingPowerProfile,
     IncreasingPowerProfile,
-    _centroid_split,
     _check_in_domain,
+    _tail_ratio_cut,
     alpha_centroid,
     evaluate,
     integration_provenance,
@@ -572,7 +574,6 @@ class SimplexSplineProfile:
         # the rule's pieces: the knot intervals, one split at its midpoint
         lv = self._levels
         self._pieces = lv if lv.size > 2 else np.array([lv[0], 0.5 * (lv[0] + lv[1]), lv[1]])
-        self._memo = (None,)
 
     @cached_property
     def _order(self):
@@ -648,11 +649,8 @@ class SimplexSplineProfile:
         return min(max(exact, _GAUSS_MIN_NODES), _GAUSS_MAX_NODES), False
 
     def integrals(self, beta, lo, hi):
-        memo = self._memo  # read once: another thread may replace it
-        if memo[0] != (beta, lo, hi):  # a centroid asks for both in turn
-            t, wg = self._weighted(beta, lo, hi)
-            memo = self._memo = (beta, lo, hi), float(np.sum(wg)), float(np.sum(wg * t))
-        return memo[1:]
+        t, wg = self._weighted(beta, lo, hi)
+        return float(np.sum(wg)), float(np.sum(wg * t))
 
     def _weighted(self, beta, lo, hi):
         """The rule's nodes t, one row per piece, and its weights times f^beta."""
@@ -809,8 +807,15 @@ class HistogramProfile:
     """Piecewise-constant binned profile (the Monte Carlo sample grid)."""
 
     def __init__(self, edges, values):
-        self.edges = np.asarray(edges, dtype=float)
-        self.values = np.maximum(np.asarray(values, dtype=float), 0.0)
+        self.edges = np.array(edges, dtype=float)
+        self.values = np.array(values, dtype=float)
+        k = self.values.size
+        if self.values.ndim != 1 or k < 1 or self.edges.shape != (k + 1,):
+            raise ProfileError("need k + 1 edges for k >= 1 bin values")
+        if not np.all(np.isfinite(self.edges)) or np.any(np.diff(self.edges) <= 0.0):
+            raise ProfileError("edges must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0.0):
+            raise ProfileError("bin values must be finite and non-negative")
         self.edges.setflags(write=False)
         self.values.setflags(write=False)
 
@@ -835,18 +840,16 @@ class HistogramProfile:
 
     def integrals(self, beta, lo, hi):
         a = np.maximum(self.edges[:-1], lo)
-        b = np.minimum(self.edges[1:], hi)
-        good = b > a
-        mass = float(np.sum(self.values ** beta * np.maximum(b - a, 0.0)))
-        return mass, float(np.sum(self.values[good] ** beta * 0.5 * (b[good] ** 2 - a[good] ** 2)))
+        b = np.maximum(np.minimum(self.edges[1:], hi), a)  # b = a off [lo, hi]
+        # empty bins weigh 0 at every power, 0^0 included
+        w = np.where(self.values > 0.0, self.values ** beta, 0.0)
+        return float(np.sum(w * (b - a))), float(np.sum(w * 0.5 * (b ** 2 - a ** 2)))
 
     def _at_unit_max(self):
-        return HistogramProfile(self.edges, self.values / self.values.max())
-
-    def _support(self):
-        """The indicator of the non-empty bins; None when none is empty."""
-        positive = self.values > 0.0
-        return None if positive.all() else HistogramProfile(self.edges, positive)
+        top = self.values.max()
+        if not top > 0.0:
+            raise DegenerateProfileError("every bin is empty")
+        return HistogramProfile(self.edges, self.values / top)
 
 
 class SectionProfile:
@@ -910,12 +913,20 @@ class McEstimate:
     meta: dict
 
 
+def _clamped_cut(body, u, c):
+    """(a, b, c) with the cut c clamped into the support [a, b] of <x, u>;
+    a cut within the profiles' slack 1e-12 max(b - a, 1) outside is an end."""
+    a, b = body.support_interval(u)
+    slack = 1e-12 * max(b - a, 1.0)
+    if not (a - slack <= c <= b + slack):
+        raise DomainError(f"cut {c} outside support [{a}, {b}]")
+    return a, b, min(max(c, a), b)
+
+
 def mc_halfspace_fraction(body, u, c, mc):
     """Direct-count estimate of vol(K ∩ {<x,u> <= c}) / vol(K)."""
     u = _unit(u, body.dim)
-    a, b = body.support_interval(u)
-    if not (a - 1e-12 <= c <= b + 1e-12):
-        raise DomainError(f"cut {c} outside support [{a}, {b}]")
+    c = _clamped_cut(body, u, c)[2]
     inside = 0
     below = 0
     for pts, _ in mc_chunks(body, mc):
@@ -946,15 +957,12 @@ def r_centroid_point(body, u, r, mc=None):
 
 def halfspace_fraction(body, u, c, mc=None):
     """vol(K ∩ {<x,u> <= c}) / vol(K) via the 1-D profile (or MC counting)."""
-    a, b = body.support_interval(u)
-    if not (a - 1e-12 * max(b - a, 1.0) <= c <= b + 1e-12 * max(b - a, 1.0)):
-        raise DomainError(f"cut {c} outside support [{a}, {b}]")
     if mc is not None:
         return mc_halfspace_fraction(body, u, c, mc).value
+    a, b, c = _clamped_cut(body, u, c)
     exact = exact_section_profile(body, u)
     if exact is None:
         raise GrunlabError("no exact profile; pass an McSpec")
-    c = min(max(c, a), b)
     total = powered_integral(exact, 1.0)
     return powered_integral(exact, 1.0, (a, c)) / total
 
@@ -1016,9 +1024,8 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
                 witness=worst)
     bound = grunbaum_r_bound(p, r)
     if sp.kind == "exact":
-        cut, total, right = _centroid_split(sp.profile, r, 1.0)
-        cut = float(cut)
-        lower = 1.0 - right / total
+        upper, cut = _tail_ratio_cut(sp.profile, r, 1.0)
+        lower = 1.0 - upper
         sigma = 0.0
         tolerance = tol
         prov = integration_provenance(sp.profile, (r, 1.0))
@@ -1026,9 +1033,9 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
         cut = float(alpha_centroid(sp.profile, r))
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
+        upper = 1.0 - lower
         tolerance = max(tol, _Z99_ONE_SIDED * sigma)
         prov = {"kind": "mc", **mc.meta(), "sigma": sigma, "ci": "one-sided 99%"}
-    upper = 1.0 - lower
     ratio = min(lower, upper)
     prov["params"] = {"p": p, "r": r, "u": list(_unit(u, body.dim))}
     details = {"lower_fraction": lower, "upper_fraction": upper, "cut": cut,

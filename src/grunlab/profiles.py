@@ -12,9 +12,10 @@ interval [a, b]:
 Piecewise-linear profiles integrate through one segment kernel, shared with
 the extremal search; power laws and ball sections have closed forms. Every
 profile kind integrates itself: integrals(beta, lo, hi) gives (I_beta,
-M_beta) on a sub-interval lo < hi, and _at_unit_max() the same profile
-scaled to maximum 1. All profiles are immutable after construction and all
-operations are pure.
+M_beta) on a sub-interval lo < hi at every beta >= 0, where beta = 0
+integrates the indicator of {h > 0} (the limit as the power tends to 0), and
+_at_unit_max() gives the same profile scaled to maximum 1. All profiles are
+immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .quadrature import unit_ball_volume
 
 # Slope-difference tolerance certifying concavity of a piecewise-linear profile.
 CONCAVITY_TOL = 1e-9
+_CONCAVITY_GRID = 129  # uniform points added to an analytic profile's knots
 
 # A segment whose relative change d = (hb - ha) / (ha + hb) has
 # |d| (e + 2) <= _SERIES_CUT is integrated by its midpoint series in d.
@@ -90,11 +92,15 @@ def _segments(ha, hb, dt, e, moment):
     moment. Other segments use the closed form written in
     r = |hb - ha| / max(ha, hb) with log1p and expm1, which keeps it accurate
     down to the cut and on segments that reach zero. e = 0 integrates the
-    indicator of {h > 0}: 1 on a segment, 0 where both ends are 0.
-    Callers scale ordinates to max 1, since h^e is where the range is lost.
+    indicator of {h > 0}: dt on a segment, 0 where both ends are 0, with a
+    zero centred moment. Callers scale ordinates to max 1, since h^e is where
+    the range is lost.
     """
     ha = np.maximum(ha, 0.0)
     hb = np.maximum(hb, 0.0)
+    if e == 0.0:
+        mass = np.where(np.maximum(ha, hb) > 0.0, dt, 0.0)
+        return mass, np.zeros_like(mass) if moment else None
     s2 = ha + hb
     dh = hb - ha
     d = dh / np.where(s2 > 0.0, s2, 1.0)
@@ -108,8 +114,6 @@ def _segments(ha, hb, dt, e, moment):
     hi_e = hi ** e
     g1 = -np.expm1((e + 1.0) * log_ratio) / ((e + 1.0) * r)
     mass = dt * np.where(near, mid_e * _horner(even, d2), hi_e * g1)
-    if e == 0.0:  # 0^0 would count a stretch where h vanishes
-        mass = np.where(hi > 0.0, mass, 0.0)
     if not moment:
         return mass, None
     # int (t - t_mid) h^e = (dt / dh) (int h^(e+1) - s int h^e)
@@ -184,8 +188,6 @@ class PiecewiseLinear:
         self.hs = hs
         self._top = float(hs.max())
         self._unit = hs / self._top if self._top > 0.0 else hs
-        # h vanishes on a whole segment, so {h > 0} is not the domain
-        self._zero_stretch = bool(np.any(np.maximum(hs[:-1], hs[1:]) == 0.0))
 
     @property
     def domain(self):
@@ -236,11 +238,11 @@ class ConcaveProfile(PiecewiseLinear):
     Endpoint ordinates may vanish.
     """
 
-    def __init__(self, breakpoints, concavity_tol=CONCAVITY_TOL):
+    def __init__(self, breakpoints):
         super().__init__(breakpoints)
         slopes = np.diff(self.hs) / np.diff(self.ts)
         scale = max(self.hs.max(), 1.0) / max(self.ts[-1] - self.ts[0], 1e-300)
-        if np.any(np.diff(slopes) > concavity_tol * max(scale, 1.0)):
+        if np.any(np.diff(slopes) > CONCAVITY_TOL * max(scale, 1.0)):
             i = int(np.argmax(np.diff(slopes)))
             raise ProfileError(
                 f"not concave: slope increases at breakpoint t={self.ts[i + 1]:g}")
@@ -634,22 +636,31 @@ def _range_error(what, beta):
     return FloatRangeError(f"{what} at power {beta:g} leaves the float range")
 
 
-def _integral(h, beta, interval, moment):
-    """h's own mass or moment at power beta > 0 over the interval, in range."""
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
-    what = "powered moment" if moment else "powered mass"
-    lo, hi = _check_interval(h, interval)
-    if not hi > lo:
-        return 0.0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            val = h.integrals(beta, lo, hi)[moment]
-    except OverflowError as exc:
-        raise _range_error(what, beta) from exc
+def _in_range(val, what, beta):
     if not math.isfinite(val):
         raise _range_error(what, beta)
     return float(val)
+
+
+def _integrals(h, beta, interval=None):
+    """h's own (mass, moment) at power beta >= 0 over the interval, where
+    power 0 integrates the indicator of {h > 0}. The mass is range-checked;
+    the moment, which can overflow where the mass does not, is left to the
+    callers that read it."""
+    lo, hi = _check_interval(h, interval)
+    if not hi > lo:
+        return 0.0, 0.0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # checked here or by callers
+            mass, moment = h.integrals(beta, lo, hi)
+    except OverflowError as exc:
+        raise _range_error("powered mass", beta) from exc
+    return max(_in_range(mass, "powered mass", beta), 0.0), float(moment)
+
+
+def _check_beta(beta):
+    if not beta > 0.0:
+        raise ParameterError(f"beta must be positive, got {beta}")
 
 
 def powered_integral(h, beta, interval=None):
@@ -657,7 +668,8 @@ def powered_integral(h, beta, interval=None):
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    return max(_integral(h, beta, interval, False), 0.0)
+    _check_beta(beta)
+    return _integrals(h, beta, interval)[0]
 
 
 def moment_integral(h, beta, interval=None):
@@ -665,15 +677,8 @@ def moment_integral(h, beta, interval=None):
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    return _integral(h, beta, interval, True)
-
-
-def _indicator(h):
-    """The indicator of {h > 0} as a profile where h can vanish on a stretch
-    (a histogram with empty bins); None where {h > 0} is the whole domain."""
-    while isinstance(h, PowerProfile):
-        h = h.base
-    return h._support() if hasattr(h, "_support") else None
+    _check_beta(beta)
+    return _in_range(_integrals(h, beta, interval)[1], "powered moment", beta)
 
 
 def powered_split(h, beta, cut):
@@ -683,7 +688,7 @@ def powered_split(h, beta, cut):
     Raises FloatRangeError when the masses leave the float range.
     """
     _check_exponent("beta", beta)
-    a, b = h.domain
+    b = h.domain[1]
     cut = _check_interval(h, (cut, b))[0]
     if isinstance(h, PiecewiseLinear):
         total, right = _mass_tail(h.ts, h._unit[None], beta, np.array([cut]))
@@ -692,10 +697,7 @@ def powered_split(h, beta, cut):
         except OverflowError as exc:
             raise _range_error("powered mass", beta) from exc
         return float(total[0]) * scale, float(right[0]) * scale
-    if beta == 0.0:
-        support = _indicator(h)
-        return (b - a, b - cut) if support is None else powered_split(support, 1.0, cut)
-    return powered_integral(h, beta), powered_integral(h, beta, (cut, b))
+    return _integrals(h, beta)[0], _integrals(h, beta, (cut, b))[0]
 
 
 def _scale_free(fn, h, *args):
@@ -711,9 +713,9 @@ def _scale_free(fn, h, *args):
 
 
 def _centroid_mass(h, alpha):
-    """(g_alpha(h), int h^alpha) for h outside the segment kernel, alpha > 0."""
-    total = powered_integral(h, alpha)
-    moment = moment_integral(h, alpha)
+    """(g_alpha(h), int h^alpha) from one integration of h."""
+    total, moment = _integrals(h, alpha)
+    moment = _in_range(moment, "powered moment", alpha)
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass; centroid undefined")
     a, b = h.domain
@@ -723,40 +725,28 @@ def _centroid_mass(h, alpha):
 def alpha_centroid(h, alpha):
     """Weighted mean g_alpha(h) = int t h^alpha / int h^alpha.
 
-    alpha = 0 weighs by the indicator of {h > 0} (the alpha -> 0 limit); on
-    a profile positive inside its domain, as every concave one is, that is
-    the exact midpoint. Scale-free: a profile whose powers leave the float
-    range gives the centroid of h / max h.
+    alpha = 0 weighs by the indicator of {h > 0} (the alpha -> 0 limit), so
+    it gives the centroid of {h > 0}: about the midpoint on a profile
+    positive inside its domain, as every concave one is. Scale-free: a
+    profile whose powers leave the float range gives the centroid of
+    h / max h.
     """
     _check_exponent("alpha", alpha)
-    a, b = h.domain
     if isinstance(h, PiecewiseLinear):
-        if alpha == 0.0 and not h._zero_stretch:
-            return 0.5 * (a + b)
+        a, b = h.domain
         total, moment = (float(v[0]) for v in _mass_moment(h.ts, h._unit[None], alpha))
         if not total > 0.0:
             raise DegenerateProfileError("zero total powered mass; centroid undefined")
         return min(max(moment / total, a), b)
-    if alpha == 0.0:
-        support = _indicator(h)
-        return 0.5 * (a + b) if support is None else alpha_centroid(support, 1.0)
     return _scale_free(_centroid_mass, h, alpha)[0]
 
 
-def _centroid_split(h, alpha, beta):
-    """(g_alpha(h), int h^beta, int_g^b h^beta). Outside the segment kernel
-    the total beta-powered mass is the centroid's own when alpha = beta."""
-    if isinstance(h, PiecewiseLinear) or alpha == 0.0:
-        cut = alpha_centroid(h, alpha)
-        return (cut, *powered_split(h, beta, cut))
-    cut, mass = _centroid_mass(h, alpha)
-    if beta != alpha:
-        return (cut, *powered_split(h, beta, cut))
-    return cut, mass, powered_integral(h, beta, (cut, h.domain[1]))
-
-
 def _ratio_cut(h, alpha, beta):
-    cut, total, right = _centroid_split(h, alpha, beta)
+    """The tail ratio and its cut; at alpha = beta the centroid's mass is the total."""
+    cut, total = _centroid_mass(h, alpha)
+    if beta != alpha:
+        total = _integrals(h, beta)[0]
+    right = _integrals(h, beta, (cut, h.domain[1]))[0]
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass")
     return right / total, cut
@@ -827,7 +817,7 @@ def _unwrap_piecewise_linear(f):
     return g if isinstance(g, PiecewiseLinear) else None
 
 
-def _concavity_triples(f, grid_size):
+def _concavity_triples(f):
     """Sample triples (t0, t1, t2) for the discrete chord test.
 
     For piecewise-linear data the triples are the across-knot ones plus one
@@ -837,7 +827,7 @@ def _concavity_triples(f, grid_size):
     """
     a, b = f.domain
     pl = _unwrap_piecewise_linear(f)
-    if pl is not None and grid_size is None:
+    if pl is not None:
         knots = pl.ts
         mids = 0.5 * (knots[:-1] + knots[1:])
         t0 = np.concatenate([knots[:-2], knots[:-1]])
@@ -845,11 +835,11 @@ def _concavity_triples(f, grid_size):
         t2 = np.concatenate([knots[2:], knots[1:]])
         return t0, t1, t2
     knots = np.asarray(getattr(f, "quadrature_breakpoints", [a, b]), dtype=float)
-    pts = np.union1d(knots, np.linspace(a, b, int(grid_size) if grid_size else 129))
+    pts = np.union1d(knots, np.linspace(a, b, _CONCAVITY_GRID))
     return pts[:-2], pts[1:-1], pts[2:]
 
 
-def p_concavity_check(f, p, tol=CONCAVITY_TOL, grid_size=None):
+def p_concavity_check(f, p, tol=CONCAVITY_TOL):
     """Certify that f^p is concave by discrete chord tests.
 
     Every sampled triple of the powered values must lie above its chord
@@ -858,7 +848,7 @@ def p_concavity_check(f, p, tol=CONCAVITY_TOL, grid_size=None):
     """
     if not p > 0.0:
         raise ParameterError(f"p must be positive, got {p}")
-    t0, t1, t2 = _concavity_triples(f, grid_size)
+    t0, t1, t2 = _concavity_triples(f)
     pts, inverse = np.unique(np.concatenate([t0, t1, t2]), return_inverse=True)
     vals = np.maximum(np.asarray(f.value(pts), dtype=float), 0.0) ** p
     g0, g1, g2 = np.split(vals[inverse], 3)
@@ -941,9 +931,11 @@ def superlevel_measure_concavity_check(h, beta, grid_size=512, tol=1e-7):
 def tail_masses(h, beta, cuts):
     """int_{max(s, a)}^{b} h^beta dt for an array of cut positions s.
 
-    Cuts at or beyond b give 0. For piecewise-linear profiles this is the
-    mass of the segments right of each cut plus that of its partial segment.
+    Cuts at or beyond b give 0. beta = 0 gives the length of {h > 0} right
+    of each cut. For piecewise-linear profiles this is the mass of the
+    segments right of each cut plus that of its partial segment.
     """
+    _check_exponent("beta", beta)
     a, b = h.domain
     s = np.clip(np.asarray(cuts, dtype=float), a, b)
     if isinstance(h, PiecewiseLinear):
@@ -957,4 +949,4 @@ def tail_masses(h, beta, cuts):
             return (part + after[i + 1]) * h._top ** beta
         except OverflowError as exc:
             raise _range_error("powered mass", beta) from exc
-    return np.array([powered_integral(h, beta, (si, b)) for si in s])
+    return np.array([_integrals(h, beta, (si, b))[0] for si in s])

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import pkgutil
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from grunlab.bodies import SimplexSplineProfile
 from grunlab.errors import (
     DegenerateBodyError,
     DomainError,
+    FloatRangeError,
     GrunlabError,
     ParameterError,
     PreconditionError,
@@ -176,6 +178,32 @@ def test_halfspace_fraction_examples(cone3):
         gl.halfspace_fraction(ball, E1_3, 2.0)
 
 
+def test_halfspace_fraction_routes_share_the_support_slack():
+    # c lies 1e-10 past b = 1000, inside the relative slack 1e-12 (b - a)
+    box = gl.Box([0.0, 0.0, 0.0], [1000.0, 1.0, 1.0])
+    c = 1000.0 + 1e-10
+    assert gl.halfspace_fraction(box, E1_3, c) == 1.0
+    mc = gl.McSpec(seed=5, samples=10_000)
+    assert gl.halfspace_fraction(box, E1_3, c, mc=mc) == 1.0
+    assert gl.mc_halfspace_fraction(box, E1_3, c, mc).value == 1.0
+    for route in (None, mc):
+        with pytest.raises(DomainError):
+            gl.halfspace_fraction(box, E1_3, 1000.0 + 1e-8, mc=route)
+
+
+def test_mass_only_routes_ignore_an_out_of_range_moment():
+    # the 6-ball of radius 1e50 has mass about 5e300, but |t| times it overflows
+    ball = gl.Ball(np.zeros(6), 1e50)
+    e1 = np.eye(6)[0]
+    assert gl.halfspace_fraction(ball, e1, 0.0) == 0.5
+    profile = gl.exact_section_profile(ball, e1)
+    total, right = gl.profiles.powered_split(profile, 1.0, 0.0)
+    assert right / total == 0.5
+    assert gl.profiles.tail_masses(profile, 1.0, [0.0])[0] == right
+    with pytest.raises(FloatRangeError):
+        gl.profiles.moment_integral(profile, 1.0, (profile.domain[0], 0.0))
+
+
 # ---------------------------------------------------------------------------
 # verifiers
 # ---------------------------------------------------------------------------
@@ -258,26 +286,47 @@ def test_no_production_path_reaches_adaptive_simpson(monkeypatch):
 
 
 def test_grunbaum_r_at_r_one_integrates_the_total_mass_once(monkeypatch):
-    calls = []
     real = gl.profiles.powered_integral
-
-    def counted(h, beta, interval=None):
-        calls.append(interval)
-        return real(h, beta, interval)
-
     rng = np.random.default_rng(71)
     for body in (gl.Ball(rng.normal(size=4), 1.3), gl.Simplex(rng.normal(size=(4, 3)))):
         u = _rand_unit(rng, body.dim)
         profile = gl.exact_section_profile(body, u)
         a, b = profile.domain
-        monkeypatch.setattr(gl.profiles, "powered_integral", counted)
-        calls.clear()
+        calls = []
+        integrals = type(profile).integrals
+
+        def counted(self, beta, lo, hi):
+            calls.append((beta, lo, hi))
+            return integrals(self, beta, lo, hi)
+
+        monkeypatch.setattr(type(profile), "integrals", counted)
         rep = gl.verify_grunbaum_r(body, u, 1.0 / (body.dim - 1), 1.0)
         monkeypatch.undo()
         cut = rep.details["cut"]
-        assert calls == [None, (cut, b)]
+        assert calls == [(1.0, a, b), (1.0, cut, b)]
         assert rep.details["lower_fraction"] == 1.0 - real(profile, 1.0, (cut, b)) / real(
             profile, 1.0)
+
+
+@pytest.mark.parametrize("body,u,p,r", [
+    (gl.Ball(np.zeros(6), 1e50), np.eye(6)[0], 0.2, 2.0),
+    (gl.Simplex(1e40 * np.vstack([np.zeros(4), np.eye(4)])), [0.5, 0.5, 0.5, -0.5], 1.0 / 3, 3.0),
+], ids=["ball", "simplex"])
+def test_exact_grunbaum_r_verdict_is_scale_free(body, u, p, r):
+    # the powered masses leave the float range; the ratio is that of the body at scale 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = gl.verify_grunbaum_r(body, u, p, r)
+    assert rep.passed
+    # the report carries the tail ratio and cut that verify_functional reads
+    upper, cut = gl.profiles._tail_ratio_cut(gl.exact_section_profile(body, u), r, 1.0)
+    assert (rep.details["upper_fraction"], rep.details["cut"]) == (upper, cut)
+    assert rep.details["lower_fraction"] == 1.0 - upper
+    if isinstance(body, gl.Ball):
+        assert rep.ratio == 0.5
+    else:
+        unit = gl.verify_grunbaum_r(gl.Simplex(body.verts / 1e40), u, p, r)
+        assert rep.ratio == pytest.approx(unit.ratio, rel=1e-12)
 
 
 def test_provenance_names_the_route_at_the_powers_used():

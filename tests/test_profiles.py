@@ -5,6 +5,7 @@ antiderivatives for the affine cases, scipy quadrature for everything else.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,58 @@ def test_histogram_power_zero_weighs_by_the_non_empty_bins():
     assert gl.tail_mass_ratio(full, 1.0, 0.0) == (3.0 - cut) / 3.0
 
 
+def _spline_section():
+    rng = np.random.default_rng(29)
+    u = rng.normal(size=3)
+    return gl.exact_section_profile(gl.Simplex(rng.normal(size=(4, 3))), u / np.linalg.norm(u))
+
+
+@pytest.mark.parametrize("h,support", [
+    (gl.PiecewiseLinear([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]), (1.0, 3.0)),
+    (gl.ConcaveProfile([[0.0, 0.5], [1.0, 2.0], [3.0, 0.0]]), (0.0, 3.0)),
+    (gl.ConstantProfile(2.0, -1.0, 0.5), (-1.0, 0.5)),
+    (gl.DecreasingPowerProfile(1.5, 0.0, 2.0, 0.7), (0.0, 2.0)),
+    (gl.IncreasingPowerProfile(0.5, -1.0, 1.0, 3.0), (-1.0, 1.0)),
+    (gl.BallSectionProfile(1.0, 3), (-1.0, 1.0)),
+    (gl.PowerProfile(gl.BallSectionProfile(1.0, 4, center=0.5), 0.5), (-0.5, 1.5)),
+    (gl.HistogramProfile([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 2.0, 0.0]), (1.0, 3.0)),
+    (_spline_section(), None),
+], ids=["piecewise-linear", "concave", "constant", "decreasing-power", "increasing-power",
+        "ball-section", "power", "histogram", "simplex-spline"])
+def test_power_zero_integrates_the_indicator_of_positive_h_on_every_kind(h, support):
+    a, b = h.domain
+    lo, hi = support or (a, b)
+    cuts = np.linspace(a, b, 9)
+    want = np.maximum(hi - np.maximum(cuts, lo), 0.0)
+    assert gl.tail_masses(h, 0.0, cuts) == pytest.approx(want, rel=1e-14, abs=1e-14 * (b - a))
+    assert gl.alpha_centroid(h, 0.0) == pytest.approx(0.5 * (lo + hi), abs=1e-14 * (b - a))
+    mid = 0.5 * (lo + hi)
+    assert gl.profiles.powered_split(h, 0.0, mid) == pytest.approx(
+        (hi - lo, hi - mid), rel=1e-14)
+
+
+def test_histogram_validates_its_input():
+    with pytest.raises(ProfileError):  # 2 edges, 3 values
+        gl.HistogramProfile([0.0, 1.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ProfileError):
+        gl.HistogramProfile([0.0, 2.0, 1.0], [1.0, 1.0])
+    for edges, values in (([0.0, math.inf], [1.0]), ([0.0, 1.0], [math.nan]),
+                          ([0.0, 1.0, 2.0], [1.0, -0.5])):
+        with pytest.raises(ProfileError):
+            gl.HistogramProfile(edges, values)
+
+
+def test_empty_histogram_has_no_centroid():
+    h = gl.HistogramProfile([0.0, 1.0, 2.0], [0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProfileError):
+            gl.alpha_centroid(h, 1.0)
+        for alpha, beta in ((1.0, 1.0), (0.0, 2.0), (2.0, 0.0)):
+            with pytest.raises(DegenerateProfileError):
+                gl.tail_mass_ratio(h, alpha, beta)
+
+
 def test_histogram_ratios_are_scale_free():
     h = gl.HistogramProfile([0.0, 1.0, 2.0], [3.0, 4.0])
     # g_1 = 15/14; the tail at power 700 is 4^700 (2 - g_1) over 3^700 + 4^700
@@ -419,22 +472,23 @@ def test_absolute_integrals_out_of_float_range_raise(h, beta):
 
 
 def test_equal_powers_integrate_the_total_mass_once(monkeypatch):
-    calls = []
-    real = gl.profiles.powered_integral
-
-    def counted(h, beta, interval=None):
-        calls.append(interval)
-        return real(h, beta, interval)
-
-    monkeypatch.setattr(gl.profiles, "powered_integral", counted)
     h = gl.BallSectionProfile(1.3, 4, center=-0.2)
+    a, b = h.domain
+    calls = []
+    real = h.integrals
+
+    def counted(beta, lo, hi):
+        calls.append((beta, lo, hi))
+        return real(beta, lo, hi)
+
+    monkeypatch.setattr(h, "integrals", counted)
     ratio, cut = gl.profiles._tail_ratio_cut(h, 2.0, 2.0)
-    assert calls == [None, (cut, h.domain[1])]
-    assert ratio == real(h, 2.0, (cut, h.domain[1])) / real(h, 2.0)
+    assert calls == [(2.0, a, b), (2.0, cut, b)]
+    assert ratio == real(2.0, cut, b)[0] / real(2.0, a, b)[0]
     cut = gl.alpha_centroid(h, 1.0)
     calls.clear()
     gl.tail_mass_ratio(h, 1.0, 2.0)
-    assert calls == [None, None, (cut, h.domain[1])]
+    assert calls == [(1.0, a, b), (2.0, a, b), (2.0, cut, b)]
 
 
 # ---------------------------------------------------------------------------
