@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 import statistics
 from dataclasses import dataclass
 from functools import cached_property
@@ -67,6 +68,8 @@ _Z99_ONE_SIDED = 2.3263478740408408  # 99% one-sided normal quantile
 
 def _unit(u, dim=None):
     u = np.asarray(u, dtype=float)
+    if not np.all(np.isfinite(u)):
+        raise ParameterError(f"direction must be finite, got {u}")
     norm = float(np.linalg.norm(u))
     if norm <= 0.0:
         raise ParameterError("direction must be a nonzero vector")
@@ -765,6 +768,13 @@ class McSpec:
     def __post_init__(self):
         if self.seed is None:
             raise ParameterError("Monte Carlo runs require an explicit seed")
+        for name in ("seed", "samples", "bins"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 0 <= self.seed < 1 << 128:
+            raise ParameterError(f"seed must lie in [0, 2^128), got {self.seed}")
         if self.samples < 10_000:
             raise ParameterError("sample_count must be at least 10^4")
         if self.bins < 16:
@@ -803,6 +813,32 @@ def mc_chunks(body, mc):
         yield np.compress(body.contains(x.T), x, axis=1).T, m
 
 
+# The last pass's projections: (body, (u bytes, seed, samples), proj, total).
+# Holding the body keeps its id from being reused; bodies are immutable.
+_MC_LAST = None
+
+
+def _mc_projections(body, u, mc):
+    """(<x, u> of the inside samples, read-only; samples drawn) for a unit u.
+
+    The binned profile and the count below a cut along the same u read one
+    pass: the last result is kept, and the bin count does not enter the draw.
+    """
+    global _MC_LAST
+    key = (u.tobytes(), mc.seed, mc.samples)
+    last = _MC_LAST
+    if last is not None and last[0] is body and last[1] == key:
+        return last[2], last[3]
+    parts, total = [], 0
+    for pts, m in mc_chunks(body, mc):
+        parts.append(pts @ u)
+        total += m
+    proj = np.concatenate(parts)
+    proj.setflags(write=False)
+    _MC_LAST = (body, key, proj, total)
+    return proj, total
+
+
 class HistogramProfile:
     """Piecewise-constant binned profile (the Monte Carlo sample grid)."""
 
@@ -828,8 +864,7 @@ class HistogramProfile:
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def value(self, t):
-        a, b = self.domain
-        t_arr = np.clip(np.asarray(t, dtype=float), a, b)
+        t_arr = _check_in_domain(t, self.domain)
         idx = np.clip(np.searchsorted(self.edges, t_arr, side="right") - 1,
                       0, self.values.size - 1)
         out = self.values[idx]
@@ -892,14 +927,9 @@ def mc_section_profile(body, u, mc):
     box_vol = float(np.prod(hi - lo))
     edges = np.linspace(a, b, mc.bins + 1)
     width = edges[1] - edges[0]
-    counts = np.zeros(mc.bins)
-    total = 0
-    for pts, m in mc_chunks(body, mc):
-        total += m
-        if pts.shape[0]:
-            idx = np.clip(((pts @ u - a) / width).astype(int), 0, mc.bins - 1)
-            counts += np.bincount(idx, minlength=mc.bins)
-    p = counts / total
+    proj, total = _mc_projections(body, u, mc)
+    idx = np.clip(((proj - a) / width).astype(int), 0, mc.bins - 1)
+    p = np.bincount(idx, minlength=mc.bins) / total
     values = box_vol * p / width
     sigma = box_vol * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / total) / width
     return SectionProfile(u, HistogramProfile(edges, values), "mc",
@@ -927,15 +957,11 @@ def mc_halfspace_fraction(body, u, c, mc):
     """Direct-count estimate of vol(K ∩ {<x,u> <= c}) / vol(K)."""
     u = _unit(u, body.dim)
     c = _clamped_cut(body, u, c)[2]
-    inside = 0
-    below = 0
-    for pts, _ in mc_chunks(body, mc):
-        inside += pts.shape[0]
-        if pts.shape[0]:
-            below += int(np.count_nonzero(pts @ u <= c))
+    proj = _mc_projections(body, u, mc)[0]
+    inside = proj.size
     if inside == 0:
         raise DegenerateBodyError("no Monte Carlo samples landed inside the body")
-    p = below / inside
+    p = int(np.count_nonzero(proj <= c)) / inside
     sigma = math.sqrt(max(p * (1.0 - p), 0.0) / inside)
     return McEstimate(value=p, sigma=sigma, meta=mc.meta())
 
@@ -946,8 +972,8 @@ def mc_halfspace_fraction(body, u, c, mc):
 
 def r_centroid_point(body, u, r, mc=None):
     """Coordinate along u of the r-powered centroid; r = 0 gives the midpoint."""
-    if r < 0.0:
-        raise ParameterError(f"r must be non-negative, got {r}")
+    if not 0.0 <= r < math.inf:
+        raise ParameterError(f"r must be finite and non-negative, got {r}")
     a, b = body.support_interval(u)
     if r == 0.0:
         return 0.5 * (a + b)
@@ -1008,6 +1034,7 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     (p-concavity of the section profile) is certified first and a failure
     raises PreconditionError naming the witness.
     """
+    bound = grunbaum_r_bound(p, r)
     sp = section_profile(body, u, mc=mc)
     if sp.kind == "exact":
         check = p_concavity_check(sp.profile, p)
@@ -1022,7 +1049,6 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
             raise PreconditionError(
                 f"binned profile violates {p}-concavity beyond 3 sigma ({worst:.3e})",
                 witness=worst)
-    bound = grunbaum_r_bound(p, r)
     if sp.kind == "exact":
         upper, cut = _tail_ratio_cut(sp.profile, r, 1.0)
         lower = 1.0 - upper

@@ -83,10 +83,10 @@ def functional_root_limit(alpha):
 def grunbaum_r_bound(p, r):
     """Sharp halfspace-mass bound for a p-concave section profile cut at the
     r-powered centroid; the branches agree at r = 1."""
-    if not p > 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
-    if r < 0.0:
-        raise ParameterError(f"r must be non-negative, got {r}")
+    if not 0.0 < p < np.inf:
+        raise ParameterError(f"p must be finite and positive, got {p}")
+    if not 0.0 <= r < np.inf:
+        raise ParameterError(f"r must be finite and non-negative, got {r}")
     base = min(p + 1.0, p + r) / (2.0 * p + r)
     if r == 0.0:
         regime = "midpoint"

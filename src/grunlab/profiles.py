@@ -610,7 +610,7 @@ def _check_in_domain(t, domain):
     a, b = domain
     slack = 1e-12 * max(b - a, 1.0)
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < a - slack) or np.any(t_arr > b + slack):
+    if not np.all((a - slack <= t_arr) & (t_arr <= b + slack)):  # NaN fails too
         raise DomainError(f"point {t!r} outside profile domain [{a:g}, {b:g}]")
     return np.clip(t_arr, a, b)[()] if np.ndim(t) == 0 else np.clip(t_arr, a, b)
 

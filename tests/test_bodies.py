@@ -476,6 +476,13 @@ def test_mc_spec_invariants():
         gl.McSpec(seed=1, bins=8)
     with pytest.raises(ParameterError):
         gl.McSpec(seed=None)
+    # seed an integer in [0, 2^128); samples and bins integers, bools rejected
+    for fields in ({"samples": float("nan")}, {"samples": 20_000.5}, {"samples": 20_000.0},
+                   {"samples": True}, {"seed": -3}, {"seed": 2 ** 128}, {"seed": 1.5},
+                   {"seed": False}, {"seed": "7"}, {"bins": float("inf")}, {"bins": 32.0},
+                   {"bins": np.float64(32)}):
+        with pytest.raises(ParameterError):
+            gl.McSpec(**{"seed": 1, **fields})
 
 
 def test_mc_halfspace_matches_exact_within_4_sigma(cone3):
@@ -590,6 +597,174 @@ def test_mc_equals_row_major_reference(name, body, u, seed):
     assert np.array_equal(sp.sigma, sigma)
     est = gl.mc_halfspace_fraction(body, u, cut, mc)
     assert (est.value, est.sigma) == (frac, frac_sigma)
+
+
+def _counted_passes(monkeypatch):
+    """Record every mc_chunks pass, starting from an empty memo."""
+    from grunlab import bodies
+
+    passes = []
+    real = bodies.mc_chunks
+
+    def counted(body, mc):
+        passes.append((body, mc))
+        return real(body, mc)
+
+    monkeypatch.setattr(bodies, "mc_chunks", counted)
+    monkeypatch.setattr(bodies, "_MC_LAST", None)
+    return passes
+
+
+def _fresh(monkeypatch, fn, *args):
+    """fn(*args) from an empty memo, as in a new process."""
+    from grunlab import bodies
+
+    monkeypatch.setattr(bodies, "_MC_LAST", None)
+    return fn(*args)
+
+
+MC_SIMPLEX3 = gl.Simplex([[0.1, 0.0, 0.2], [1.3, 0.1, 0.0], [0.2, 1.1, 0.1], [0.0, 0.3, 0.9]])
+MC_U3 = np.array([0.3, -0.5, 0.8])
+
+
+def test_sampled_centroid_and_fraction_share_one_pass(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    mc = gl.McSpec(seed=17, samples=150_000, bins=64)
+    cut = gl.r_centroid_point(MC_SIMPLEX3, MC_U3, 1.0, mc=mc)
+    est = gl.mc_halfspace_fraction(MC_SIMPLEX3, MC_U3, cut, mc)
+    assert len(passes) == 1
+    again = _fresh(monkeypatch, gl.mc_halfspace_fraction, MC_SIMPLEX3, MC_U3, cut, mc)
+    assert len(passes) == 2
+    assert (again.value, again.sigma) == (est.value, est.sigma)
+
+
+def test_sampled_verdict_makes_one_pass(monkeypatch, cone3):
+    passes = _counted_passes(monkeypatch)
+    mc = gl.McSpec(seed=99, samples=150_000, bins=64)
+    rep = gl.verify_grunbaum_r(cone3, E1_3, 0.5, 1.0, mc=mc)
+    assert rep.passed and len(passes) == 1
+    cut = rep.details["cut"]
+    fresh = _fresh(monkeypatch, gl.mc_halfspace_fraction, cone3, E1_3, cut, mc)
+    assert (rep.details["lower_fraction"], rep.provenance["sigma"]) == (fresh.value, fresh.sigma)
+
+
+def test_another_draw_draws_again_with_fresh_values(monkeypatch):
+    from dataclasses import replace
+
+    passes = _counted_passes(monkeypatch)
+    mc = gl.McSpec(seed=17, samples=70_000, bins=64)
+    twin = gl.Simplex(MC_SIMPLEX3.verts.copy())
+    a, b = MC_SIMPLEX3.support_interval(MC_U3)
+    cut = a + 0.45 * (b - a)
+    variants = [(MC_SIMPLEX3, MC_U3, replace(mc, seed=18)),
+                (MC_SIMPLEX3, MC_U3, replace(mc, samples=80_000)),
+                (MC_SIMPLEX3, np.array([0.3, -0.5, 0.81]), mc),
+                (twin, MC_U3, mc)]
+    seen = set()
+    for body, u, spec in variants:
+        gl.mc_halfspace_fraction(MC_SIMPLEX3, MC_U3, cut, mc)  # differs in one field
+        before = len(passes)
+        sp = gl.mc_section_profile(body, u, spec)
+        est = gl.mc_halfspace_fraction(body, u, cut, spec)
+        assert len(passes) == before + 1  # one new pass, shared by both
+        fresh_sp = _fresh(monkeypatch, gl.mc_section_profile, body, u, spec)
+        fresh = _fresh(monkeypatch, gl.mc_halfspace_fraction, body, u, cut, spec)
+        assert np.array_equal(sp.profile.values, fresh_sp.profile.values)
+        assert np.array_equal(sp.sigma, fresh_sp.sigma)
+        assert (est.value, est.sigma) == (fresh.value, fresh.sigma)
+        seen.add(est.value)
+    assert len(seen) > 1
+
+
+def test_bin_count_does_not_enter_the_draw(monkeypatch):
+    from dataclasses import replace
+
+    passes = _counted_passes(monkeypatch)
+    mc = gl.McSpec(seed=23, samples=70_000, bins=64)
+    gl.mc_section_profile(MC_SIMPLEX3, MC_U3, mc)
+    coarse = gl.mc_section_profile(MC_SIMPLEX3, MC_U3, replace(mc, bins=16))
+    assert len(passes) == 1
+    assert coarse.profile.values.size == 16
+    fresh = _fresh(monkeypatch, gl.mc_section_profile, MC_SIMPLEX3, MC_U3, replace(mc, bins=16))
+    assert np.array_equal(coarse.profile.values, fresh.profile.values)
+
+
+def test_projection_memo_holds_one_read_only_entry():
+    import gc
+    import weakref
+
+    from grunlab import bodies
+
+    mc = gl.McSpec(seed=29, samples=70_000)
+    first = gl.Simplex(MC_SIMPLEX3.verts.copy())
+    gone = weakref.ref(first)
+    gl.mc_section_profile(first, MC_U3, mc)
+    second = gl.Ball([0.0, 0.0, 0.0], 1.0)
+    unit = MC_U3 / np.linalg.norm(MC_U3)
+    proj, total = bodies._mc_projections(second, unit, mc)
+    del first
+    gc.collect()
+    assert gone() is None  # the older entry is not kept
+    assert bodies._MC_LAST[0] is second and bodies._MC_LAST[2] is proj
+    assert total == mc.samples
+    assert proj.shape == (sum(pts.shape[0] for pts, _ in bodies.mc_chunks(second, mc)),)
+    assert not proj.flags.writeable
+    with pytest.raises(ValueError):
+        proj[0] = 0.0
+
+
+def test_mc_spec_keeps_plain_integers():
+    spec = gl.McSpec(seed=np.uint64(2 ** 63), samples=np.int32(20_000), bins=np.int64(32))
+    assert spec.meta() == {"seed": 2 ** 63, "samples": 20_000, "bins": 32}
+    assert all(type(v) is int for v in spec.meta().values())
+    assert gl.McSpec(seed=2 ** 128 - 1, samples=10_000).seed == 2 ** 128 - 1
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0, 0.0], [np.inf, 1.0, 0.0], [0.0, -np.inf, 1.0]])
+def test_directions_must_be_finite(bad):
+    mc = gl.McSpec(seed=1, samples=10_000)
+    calls = [lambda: gl.halfspace_fraction(MC_SIMPLEX3, bad, 0.2),
+             lambda: gl.mc_halfspace_fraction(MC_SIMPLEX3, bad, 0.2, mc),
+             lambda: gl.r_centroid_point(MC_SIMPLEX3, bad, 1.0),
+             lambda: gl.section_profile(MC_SIMPLEX3, bad, mc=mc),
+             lambda: gl.support_interval(gl.Ball([0.0, 0.0, 0.0], 1.0), bad)]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
+@pytest.mark.parametrize("p,r", [(np.nan, 1.0), (-1.0, 1.0), (np.inf, 1.0),
+                                 (0.5, np.nan), (0.5, -1.0), (0.5, np.inf)])
+def test_sampled_verdict_validates_before_drawing(monkeypatch, p, r):
+    passes = _counted_passes(monkeypatch)
+    mc = gl.McSpec(seed=3, samples=20_000)
+    with pytest.raises(ParameterError):
+        gl.verify_grunbaum_r(MC_SIMPLEX3, MC_U3, p, r, mc=mc)
+    assert passes == []
+
+
+def test_sampled_centroid_rejects_r_before_drawing(monkeypatch):
+    passes = _counted_passes(monkeypatch)
+    for r in (np.nan, np.inf, -1.0):
+        with pytest.raises(ParameterError):
+            gl.r_centroid_point(MC_SIMPLEX3, MC_U3, r, mc=gl.McSpec(seed=3, samples=20_000))
+    assert passes == []
+
+
+def test_nan_point_is_outside_every_domain():
+    profiles = [gl.ConcaveProfile([[0.0, 1.0], [1.0, 0.0]]), gl.ConstantProfile(1.0, 0.0, 1.0),
+                gl.DecreasingPowerProfile(1.0, 0.0, 1.0, 2.0), gl.BallSectionProfile(1.0, 3),
+                gl.HistogramProfile([0.0, 1.0, 2.0], [1.0, 2.0])]
+    for prof in profiles:
+        with pytest.raises(DomainError):
+            gl.evaluate(prof, np.nan)
+        with pytest.raises(DomainError):
+            gl.evaluate(prof, np.array([0.5, np.nan]))
+    with pytest.raises(DomainError):
+        gl.section_volume(MC_SIMPLEX3, MC_U3, np.nan)
+    box7, u7 = gl.Box(np.zeros(7), np.ones(7)), np.arange(1.0, 8.0)
+    with pytest.raises(DomainError):
+        gl.section_volume(box7, u7, np.nan, mc=gl.McSpec(seed=4, samples=10_000, bins=16))
 
 
 def _near_boundary(body, rng, m):
