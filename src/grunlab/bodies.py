@@ -68,14 +68,16 @@ _Z99_ONE_SIDED = 2.3263478740408408  # 99% one-sided normal quantile
 
 def _unit(u, dim=None):
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
+    top = float(np.abs(u).max()) if u.size else 0.0  # NaN when u holds one
+    if not top < math.inf:
         raise ParameterError(f"direction must be finite, got {u}")
-    norm = float(np.linalg.norm(u))
-    if norm <= 0.0:
+    if top == 0.0:
         raise ParameterError("direction must be a nonzero vector")
     if dim is not None and u.shape != (dim,):
         raise ParameterError(f"direction must have dimension {dim}")
-    return u / norm
+    if not 1e-150 < top < 1e150:  # the norm's squares would overflow or lose bits
+        u = u / top
+    return u / np.linalg.norm(u)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +90,7 @@ class Ball:
     variant = "ball"
 
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
+        self.center = np.array(center, dtype=float)
         self.center.setflags(write=False)
         self.radius = float(radius)
         if self.center.ndim != 1 or self.center.size < 1:
@@ -131,8 +133,8 @@ class Box:
     variant = "box"
 
     def __init__(self, min_corner, max_corner):
-        self.lo = np.asarray(min_corner, dtype=float)
-        self.hi = np.asarray(max_corner, dtype=float)
+        self.lo = np.array(min_corner, dtype=float)
+        self.hi = np.array(max_corner, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise DegenerateBodyError("corners must be vectors of equal dimension")
         if not np.all(self.hi > self.lo):
@@ -182,23 +184,14 @@ class Box:
         return {"variant": "box", "min_corner": list(self.lo), "max_corner": list(self.hi)}
 
 
-class Simplex:
-    """Simplex given by its n+1 affinely independent vertices in R^n."""
-
-    variant = "simplex"
+class _VertexPolytope:
+    """A polytope held by a read-only copy of its vertices. Support and
+    bounding box come from the vertices; volume and centroid from the
+    simplicial decomposition that also gives the section profiles."""
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
-            raise DegenerateBodyError("simplex needs n+1 vertices in R^n")
-        self._edge_matrix = (v[1:] - v[0]).T
-        det = float(np.linalg.det(self._edge_matrix))
-        if abs(det) <= _GEOM_TOL * max(1.0, np.abs(v).max()) ** v.shape[1]:
-            raise DegenerateBodyError("simplex vertices are affinely dependent")
-        self._abs_det = abs(det)
-        self._inv_edges = np.linalg.inv(self._edge_matrix)
-        v.setflags(write=False)
-        self.verts = v
+        self.verts = np.array(vertices, dtype=float)
+        self.verts.setflags(write=False)
 
     @property
     def dim(self):
@@ -208,35 +201,57 @@ class Simplex:
         dots = self.verts @ _unit(u, self.dim)
         return float(dots.min()), float(dots.max())
 
+    def bounding_box(self):
+        return self.verts.min(axis=0), self.verts.max(axis=0)
+
+    def volume(self):
+        return float(_simplex_volumes(*self._simplices()).sum())
+
+    def centroid(self):
+        points, idx = self._simplices()
+        vols = _simplex_volumes(points, idx)
+        if not vols.sum() > 0.0:
+            raise DegenerateBodyError("polytope has zero volume")
+        return vols @ points[idx].mean(axis=1) / vols.sum()
+
+    def to_json(self):
+        return {"variant": self.variant, "vertices": [list(v) for v in self.verts]}
+
+
+class Simplex(_VertexPolytope):
+    """Simplex given by its n+1 affinely independent vertices in R^n."""
+
+    variant = "simplex"
+
+    def __init__(self, vertices):
+        super().__init__(vertices)
+        v = self.verts
+        if v.ndim != 2 or v.shape[0] != v.shape[1] + 1:
+            raise DegenerateBodyError("simplex needs n+1 vertices in R^n")
+        edges = (v[1:] - v[0]).T
+        det = float(np.linalg.det(edges))
+        if abs(det) <= _GEOM_TOL * max(1.0, np.abs(v).max()) ** v.shape[1]:
+            raise DegenerateBodyError("simplex vertices are affinely dependent")
+        self._inv_edges = np.linalg.inv(edges)
+
     def contains(self, pts):
         # a C-ordered operand, so the product rounds the same for any layout of pts
         lam = self._inv_edges @ np.subtract(pts.T, self.verts[0][:, None], order="C")
         eps = 1e-12
         return np.all(lam >= -eps, axis=0) & (lam.sum(axis=0) <= 1.0 + eps)
 
-    def bounding_box(self):
-        return self.verts.min(axis=0), self.verts.max(axis=0)
-
-    def volume(self):
-        return self._abs_det / math.factorial(self.dim)
-
-    def centroid(self):
-        return self.verts.mean(axis=0)
-
     def _simplices(self):
         return self.verts, np.arange(self.dim + 1)[None]
 
-    def to_json(self):
-        return {"variant": "simplex", "vertices": [list(v) for v in self.verts]}
 
-
-class Polytope2D:
+class Polytope2D(_VertexPolytope):
     """Convex polygon with counter-clockwise vertices."""
 
     variant = "polytope2d"
 
     def __init__(self, vertices):
-        v = np.asarray(vertices, dtype=float)
+        super().__init__(vertices)
+        v = self.verts
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise DegenerateBodyError("polygon needs at least 3 planar vertices")
         edges = np.roll(v, -1, axis=0) - v
@@ -245,23 +260,9 @@ class Polytope2D:
         scale = max(float(np.abs(v).max()), 1.0) ** 2
         if np.any(cross < -1e-9 * scale):
             raise DegenerateBodyError("vertices must be convex in counter-clockwise order")
-        if self._signed_area(v) <= 0.0:
-            raise DegenerateBodyError("polygon must have positive area (ccw order)")
-        v.setflags(write=False)
-        self.verts = v
-
-    @staticmethod
-    def _signed_area(v):
         x, y = v[:, 0], v[:, 1]
-        return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-    @property
-    def dim(self):
-        return 2
-
-    def support_interval(self, u):
-        dots = self.verts @ _unit(u, 2)
-        return float(dots.min()), float(dots.max())
+        if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0.0:  # twice the signed area
+            raise DegenerateBodyError("polygon must have positive area (ccw order)")
 
     def contains(self, pts):
         inside = np.ones(pts.shape[0], dtype=bool)
@@ -272,44 +273,25 @@ class Polytope2D:
             inside &= cross >= -1e-12 * scale * scale
         return inside
 
-    def bounding_box(self):
-        return self.verts.min(axis=0), self.verts.max(axis=0)
-
-    def volume(self):
-        return self._signed_area(self.verts)
-
-    def centroid(self):
-        v = self.verts
-        w = np.roll(v, -1, axis=0)
-        cross = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-        area = 0.5 * cross.sum()
-        cx = np.sum((v[:, 0] + w[:, 0]) * cross) / (6.0 * area)
-        cy = np.sum((v[:, 1] + w[:, 1]) * cross) / (6.0 * area)
-        return np.array([cx, cy])
-
     def _simplices(self):
         """Triangle fan from vertex 0."""
         i = np.arange(1, len(self.verts) - 1)
         return self.verts, np.column_stack([np.zeros_like(i), i, i + 1])
 
-    def to_json(self):
-        return {"variant": "polytope2d", "vertices": [list(v) for v in self.verts]}
 
-
-class Polytope3D:
+class Polytope3D(_VertexPolytope):
     """Convex 3-polytope from a vertex list and face incidence loops."""
 
     variant = "polytope3d"
 
     def __init__(self, vertices, faces):
-        v = np.asarray(vertices, dtype=float)
+        super().__init__(vertices)
+        v = self.verts
         if v.ndim != 2 or v.shape[1] != 3 or v.shape[0] < 4:
             raise DegenerateBodyError("polytope needs at least 4 vertices in R^3")
         self.faces = [tuple(int(i) for i in f) for f in faces]
         if any(len(f) < 3 for f in self.faces):
             raise DegenerateBodyError("every face needs at least 3 vertices")
-        v.setflags(write=False)
-        self.verts = v
         self._interior = v.mean(axis=0)
         normals, offsets = [], []
         scale = max(float(np.abs(v).max()), 1.0)
@@ -336,21 +318,10 @@ class Polytope3D:
             n += np.cross(p, q)
         return n
 
-    @property
-    def dim(self):
-        return 3
-
-    def support_interval(self, u):
-        dots = self.verts @ _unit(u, 3)
-        return float(dots.min()), float(dots.max())
-
     def contains(self, pts):
         scale = max(float(np.abs(self.verts).max()), 1.0)
         x = np.ascontiguousarray(pts.T)  # C order, as in Simplex.contains
         return np.all(self._normals @ x <= (self._offsets + 1e-12 * scale)[:, None], axis=0)
-
-    def bounding_box(self):
-        return self.verts.min(axis=0), self.verts.max(axis=0)
 
     def _simplices(self):
         """Tetrahedral fan: the vertex mean (index len(verts), appended) joined
@@ -360,16 +331,6 @@ class Polytope3D:
                 np.array([(p, f[0], f[i], f[i + 1])
                           for f in self.faces for i in range(1, len(f) - 1)]))
 
-    def volume(self):
-        return float(_simplex_volumes(*self._simplices()).sum())
-
-    def centroid(self):
-        points, idx = self._simplices()
-        vols = _simplex_volumes(points, idx)
-        if not vols.sum() > 0.0:
-            raise DegenerateBodyError("polytope has zero volume")
-        return vols @ points[idx].mean(axis=1) / vols.sum()
-
     def section_area(self, u, t):
         """Area of the cross-section at <x, u> = t (0 outside the support)."""
         prof = _spline_profile(self, _unit(u, 3))
@@ -377,9 +338,7 @@ class Polytope3D:
         return float(prof.value(t)) if a <= t <= b else 0.0
 
     def to_json(self):
-        return {"variant": "polytope3d",
-                "vertices": [list(v) for v in self.verts],
-                "faces": [list(f) for f in self.faces]}
+        return {**super().to_json(), "faces": [list(f) for f in self.faces]}
 
 
 class Revolution:
@@ -517,13 +476,11 @@ def _simplex_cone_profile(body, u):
     spread = b - a
     near_a = np.abs(dots - a) <= 1e-9 * spread
     near_b = np.abs(dots - b) <= 1e-9 * spread
-    n = body.dim
-    c = n * body.volume() / spread ** n
-    if near_a.sum() == n and near_b.sum() == 1:
-        return DecreasingPowerProfile(c, a, b, n - 1)
-    if near_a.sum() == 1 and near_b.sum() == n:
-        return IncreasingPowerProfile(c, a, b, n - 1)
-    return None
+    n, ties = body.dim, (int(near_a.sum()), int(near_b.sum()))
+    if ties not in ((n, 1), (1, n)):
+        return None
+    kind = DecreasingPowerProfile if ties == (n, 1) else IncreasingPowerProfile
+    return kind(n * body.volume() / spread ** n, a, b, n - 1)
 
 
 def _simplex_volumes(points, idx):
@@ -720,7 +677,7 @@ def exact_section_profile(body, u):
     if isinstance(body, Revolution):
         sign = body._axis_sign(u)
         return body.profile if sign == 1 else reflect(body.profile)
-    if not isinstance(body, (Ball, Box, Simplex, Polytope2D, Polytope3D)):
+    if not isinstance(body, (Ball, Box, _VertexPolytope)):
         raise ParameterError(f"unknown body type {type(body).__name__}")
     u = _unit(u, body.dim)
     if body.dim == 1:  # a segment: every section is one point

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import json
+import math
 import pkgutil
 import time
 import warnings
@@ -142,6 +144,47 @@ def test_polytope3d_cube_volume_centroid():
                                         [2, 3, 7, 6], [0, 3, 7, 4], [1, 2, 6, 5]]})
     assert body.volume() == pytest.approx(1.0, rel=1e-12)
     assert gl.centroid(body) == pytest.approx([0.5, 0.5, 0.5], rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_simplex_volume_and_centroid_match_closed_forms(n):
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        v = rng.normal(size=(n + 1, n)) * rng.uniform(0.5, 2.0, n) + rng.normal(size=n)
+        body = gl.Simplex(v)
+        det_volume = abs(np.linalg.det(v[1:] - v[0])) / math.factorial(n)
+        assert body.volume() == pytest.approx(det_volume, rel=1e-12)
+        assert np.allclose(gl.centroid(body), v.mean(axis=0), rtol=0.0,
+                           atol=1e-12 * np.abs(v).max())
+
+
+def test_polygon_area_matches_shoelace():
+    rng = np.random.default_rng(23)
+    for n_pts in (3, 5, 12, 40):
+        poly = random_convex_polygon(rng, n_pts)
+        x, y = poly.verts[:, 0], poly.verts[:, 1]
+        shoelace = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+        assert poly.volume() == pytest.approx(shoelace, rel=1e-12)
+
+
+def test_tetrahedron_polytope3d_equals_simplex():
+    rng = np.random.default_rng(31)
+    faces = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
+    for _ in range(4):
+        v = rng.normal(size=(4, 3))
+        simplex, poly = gl.Simplex(v), gl.Polytope3D(v, faces)
+        assert poly.volume() == pytest.approx(simplex.volume(), rel=1e-12)
+        assert np.allclose(gl.centroid(poly), gl.centroid(simplex), rtol=0.0, atol=1e-12)
+        for _ in range(3):
+            u = rng.normal(size=3)
+            a, b = simplex.support_interval(u)
+            assert poly.support_interval(u) == pytest.approx((a, b), rel=1e-12, abs=1e-12)
+            ts = a + (b - a) * np.linspace(0.0, 1.0, 9)
+            exact = gl.exact_section_profile(simplex, u).value(ts)
+            assert gl.exact_section_profile(poly, u).value(ts) == pytest.approx(
+                exact, rel=1e-12, abs=1e-12 * exact.max())
+            assert [poly.section_area(u, t) for t in ts] == pytest.approx(
+                exact, rel=1e-12, abs=1e-12 * exact.max())
 
 
 def test_r_centroid_examples(cone3):
@@ -733,6 +776,20 @@ def test_directions_must_be_finite(bad):
             call()
 
 
+def test_directions_at_the_float_limits_are_normalised():
+    simplex3 = gl.body_from_json(load_fixture("simplex3.json"))
+    expected = simplex3.support_interval([1.0, 1.0, 0.0])
+    for scale in (1e200, 1e-170, 1e308, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = simplex3.support_interval([scale, scale, 0.0])
+        assert got == pytest.approx(expected, abs=1e-15)
+    with pytest.raises(ParameterError, match="nonzero"):
+        simplex3.support_interval([0.0, 0.0, 0.0])
+    u = np.random.default_rng(37).normal(size=5)
+    assert np.array_equal(gl.bodies._unit(u), u / np.linalg.norm(u))
+
+
 @pytest.mark.parametrize("p,r", [(np.nan, 1.0), (-1.0, 1.0), (np.inf, 1.0),
                                  (0.5, np.nan), (0.5, -1.0), (0.5, np.inf)])
 def test_sampled_verdict_validates_before_drawing(monkeypatch, p, r):
@@ -1074,10 +1131,50 @@ def test_body_json_round_trips(cone3):
         gl.Polytope2D([[0, 0], [1, 0], [1, 1], [0, 1]]),
         cone3,
     ]
+    cube_faces = [[0, 1, 3, 2], [4, 5, 7, 6], [0, 1, 5, 4],
+                  [2, 3, 7, 6], [0, 2, 6, 4], [1, 3, 7, 5]]
+    bodies.append(gl.Polytope3D(bodies[1].vertices(), cube_faces))
     for body in bodies:
-        back = gl.body_from_json(gl.body_to_json(body))
+        data = gl.body_to_json(body)
+        back = gl.body_from_json(json.dumps(data))
         assert type(back) is type(body)
         assert back.volume() == pytest.approx(body.volume(), rel=1e-12)
+        assert np.array_equal(gl.centroid(back), gl.centroid(body))
+        assert back.to_json() == data
+    assert data["faces"] == cube_faces
+
+
+def _copy_cases():
+    """(build from the caller's arrays, the arrays, the body's arrays) per kind."""
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    tetra = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    faces = [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]
+    return [
+        (lambda c: gl.Ball(c[0], 1.0), [np.array([0.5, -1.0, 0.2])], lambda b: [b.center]),
+        # both corners are views of one array
+        (lambda c: gl.Box(c[0][:3], c[0][3:]), [np.array([0.0, 0, 0, 1, 2, 3])],
+         lambda b: [b.lo, b.hi]),
+        (lambda c: gl.Simplex(c[0]), [tetra.copy()], lambda b: [b.verts]),
+        (lambda c: gl.Polytope2D(c[0]), [square], lambda b: [b.verts]),
+        (lambda c: gl.Polytope3D(c[0], faces), [tetra.copy()], lambda b: [b.verts]),
+    ]
+
+
+@pytest.mark.parametrize("build,arrays,held", _copy_cases(),
+                         ids=["ball", "box", "simplex", "polytope2d", "polytope3d"])
+def test_constructors_copy_their_inputs(build, arrays, held):
+    body = build(arrays)
+    before = (body.to_json(), body.volume(), gl.centroid(body))
+    for arr in arrays:
+        assert arr.flags.writeable
+        arr[0] += 0.25  # a later write to the caller's array
+    assert body.to_json() == before[0]
+    assert body.volume() == before[1]
+    assert np.array_equal(gl.centroid(body), before[2])
+    for arr in held(body):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_body_validation_errors():

@@ -1,4 +1,5 @@
-"""Smoke test of the bodies demos: they run to the end in-process.
+"""Smoke test of demos 01-06: they run to the end in-process and print a
+line that each one exists to show.
 
 Demo 07 (extremal search, several seconds) is left to be run by hand.
 """
@@ -12,6 +13,29 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _run(name, capsys):
     runpy.run_path(os.path.join(DEMOS, name), run_name="__main__")
     return capsys.readouterr().out
+
+
+def test_sharp_constants_demo_recovers_the_halfspace_constant(capsys):
+    out = _run("01_sharp_constants.py", capsys)
+    assert ("  n=3: functional_bound(2,2) = 0.421875000000"
+            "  vs  (n/(n+1))^n = 0.421875000000\n") in out
+
+
+def test_profile_engine_demo_finds_the_affine_equality_case(capsys):
+    out = _run("02_profile_engine.py", capsys)
+    assert "  alpha=1.0, beta=1.0: ratio - bound = +0.00e+00\n" in out
+
+
+def test_equality_cases_demo_attains_the_cone_constant(capsys):
+    out = _run("03_equality_cases.py", capsys)
+    assert ("  grunbaum-r       ratio 0.421875000000  bound 0.421875000000"
+            in out.split("attains 27/64\n")[1])
+    assert "  minkowski-radon  ratio 0.250000000000  bound 0.250000000000  slack +0.0e+00" in out
+
+
+def test_comparison_function_demo_passes_every_check(capsys):
+    out = _run("04_comparison_function.py", capsys)
+    assert "all checks pass: True\n" in out
 
 
 def test_bodies_and_sections_demo_runs(capsys):
