@@ -20,6 +20,7 @@ import json
 import math
 import numbers
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +29,6 @@ import numpy as np
 from .bounds import classic_bounds, grunbaum_r_bound
 from .errors import (
     DegenerateBodyError,
-    DegenerateProfileError,
     DomainError,
     GrunlabError,
     ParameterError,
@@ -95,8 +95,10 @@ class Ball:
         self.radius = float(radius)
         if self.center.ndim != 1 or self.center.size < 1:
             raise DegenerateBodyError("center must be a vector")
-        if not self.radius > 0.0:
-            raise DegenerateBodyError("radius must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise DegenerateBodyError(f"center must be finite, got {self.center}")
+        if not 0.0 < self.radius < math.inf:
+            raise DegenerateBodyError(f"radius must be finite and positive, got {self.radius}")
 
     @property
     def dim(self):
@@ -137,6 +139,8 @@ class Box:
         self.hi = np.array(max_corner, dtype=float)
         if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
             raise DegenerateBodyError("corners must be vectors of equal dimension")
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
+            raise DegenerateBodyError("corners must be finite")
         if not np.all(self.hi > self.lo):
             raise DegenerateBodyError("box must have positive edge lengths")
         self.lo.setflags(write=False)
@@ -192,6 +196,8 @@ class _VertexPolytope:
     def __init__(self, vertices):
         self.verts = np.array(vertices, dtype=float)
         self.verts.setflags(write=False)
+        if not np.all(np.isfinite(self.verts)):
+            raise DegenerateBodyError("vertices must be finite")
 
     @property
     def dim(self):
@@ -255,11 +261,14 @@ class Polytope2D(_VertexPolytope):
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise DegenerateBodyError("polygon needs at least 3 planar vertices")
         edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges, -1, axis=0)[:, 1] \
-            - edges[:, 1] * np.roll(edges, -1, axis=0)[:, 0]
+        nxt = np.roll(edges, -1, axis=0)
+        cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
         scale = max(float(np.abs(v).max()), 1.0) ** 2
         if np.any(cross < -1e-9 * scale):
             raise DegenerateBodyError("vertices must be convex in counter-clockwise order")
+        # left turns add up to 2 pi k for a boundary that winds k times round
+        if np.arctan2(cross, np.sum(edges * nxt, axis=1)).sum() > 3.0 * math.pi:
+            raise DegenerateBodyError("edges wind more than once around (a star polygon)")
         x, y = v[:, 0], v[:, 1]
         if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0.0:  # twice the signed area
             raise DegenerateBodyError("polygon must have positive area (ccw order)")
@@ -292,6 +301,9 @@ class Polytope3D(_VertexPolytope):
         self.faces = [tuple(int(i) for i in f) for f in faces]
         if any(len(f) < 3 for f in self.faces):
             raise DegenerateBodyError("every face needs at least 3 vertices")
+        edges = Counter(frozenset((f[i - 1], f[i])) for f in self.faces for i in range(len(f)))
+        if any(count != 2 for count in edges.values()):
+            raise DegenerateBodyError("every edge must lie on exactly two faces")
         self._interior = v.mean(axis=0)
         normals, offsets = [], []
         scale = max(float(np.abs(v).max()), 1.0)
@@ -598,9 +610,6 @@ class SimplexSplineProfile:
                     best = max(best, float(self._sum(roots).max()))
         return best
 
-    def _at_unit_max(self):
-        return SimplexSplineProfile(self.knots, self.volumes / self.max_value())
-
     def _rule(self, beta):
         """(nodes per piece, whether the rule is exact at power beta)."""
         exact = (self.degree * math.ceil(beta) + 1) // 2 + 1  # for t f^beta
@@ -609,11 +618,12 @@ class SimplexSplineProfile:
         return min(max(exact, _GAUSS_MIN_NODES), _GAUSS_MAX_NODES), False
 
     def integrals(self, beta, lo, hi):
-        t, wg = self._weighted(beta, lo, hi)
-        return float(np.sum(wg)), float(np.sum(wg * t))
+        t, wg, top = self._weighted(beta, lo, hi)
+        return float(np.sum(wg)), float(np.sum(wg * t)), top
 
     def _weighted(self, beta, lo, hi):
-        """The rule's nodes t, one row per piece, and its weights times f^beta."""
+        """The rule's nodes t, one row per piece, its weights times
+        (f / top)^beta, and top, the largest f at the nodes (1 if none)."""
         nodes, exact = self._rule(beta)
         cuts = self._pieces if exact else self._graded
         cuts = np.concatenate([[lo], cuts[(cuts > lo) & (cuts < hi)], [hi]])
@@ -633,7 +643,9 @@ class SimplexSplineProfile:
         if not rows:
             y, w = _gauss_jacobi(nodes, 0.0)
             t = origin[:, None] + length[:, None] * y
-            return t, length[:, None] * w * self._sum(t.ravel()).reshape(t.shape) ** beta
+            f = self._sum(t.ravel()).reshape(t.shape)
+            top = float(f.max()) or 1.0
+            return t, length[:, None] * w * (f / top) ** beta, top
         # row: t = origin + length y over the nodes y in [0, 1] of rule end
         # (0 Legendre; 1, 2 Jacobi from a, b), weighed by sign
         legendre = np.column_stack([origin, length, np.zeros_like(origin), np.ones_like(origin)])
@@ -646,7 +658,8 @@ class SimplexSplineProfile:
         # y at the rounded nodes (1 on an empty row, where f = 0)
         s = np.divide(t - origin, length, out=np.ones_like(t), where=length != 0.0)
         f = self._sum(t.ravel()).reshape(t.shape)
-        return t, sign * np.abs(length) * w * f ** beta / s ** phi[end][:, None]
+        top = float(f.max()) or 1.0
+        return t, sign * np.abs(length) * w * (f / top) ** beta / s ** phi[end][:, None], top
 
 
 def _spline_profile(body, u):
@@ -833,15 +846,10 @@ class HistogramProfile:
     def integrals(self, beta, lo, hi):
         a = np.maximum(self.edges[:-1], lo)
         b = np.maximum(np.minimum(self.edges[1:], hi), a)  # b = a off [lo, hi]
+        top = float(self.values.max()) or 1.0
         # empty bins weigh 0 at every power, 0^0 included
-        w = np.where(self.values > 0.0, self.values ** beta, 0.0)
-        return float(np.sum(w * (b - a))), float(np.sum(w * 0.5 * (b ** 2 - a ** 2)))
-
-    def _at_unit_max(self):
-        top = self.values.max()
-        if not top > 0.0:
-            raise DegenerateProfileError("every bin is empty")
-        return HistogramProfile(self.edges, self.values / top)
+        w = np.where(self.values > 0.0, (self.values / top) ** beta, 0.0)
+        return float(np.sum(w * (b - a))), float(np.sum(w * 0.5 * (b ** 2 - a ** 2))), top
 
 
 class SectionProfile:

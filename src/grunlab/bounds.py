@@ -28,6 +28,7 @@ import numpy as np
 from .errors import DegenerateProfileError, ParameterError, PreconditionError
 from .profiles import (
     _check_exponent,
+    _check_power,
     _tail_ratio_cut,
     alpha_centroid,
     evaluate,
@@ -97,10 +98,8 @@ def grunbaum_r_bound(p, r):
 
 def jensen_bbl_bound(p, r):
     """Weaker constant (p/(2p+r))^((p+1)/p) from the Jensen route."""
-    if not p > 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
-    if not r > 0.0:
-        raise ParameterError(f"r must be positive, got {r}")
+    _check_power("p", p)
+    _check_power("r", r)
     return SharpBound((p / (2.0 * p + r)) ** ((p + 1.0) / p),
                       "jensen_bbl", {"p": p, "r": r})
 

@@ -137,7 +137,8 @@ def _cmd_verify_body(args):
     body = bodies.body_from_json(_load_json(args.body))
     u = _parse_vector(args.u)
     mc = None
-    if bodies.exact_section_profile(body, u) is None or args.samples is not None:
+    if args.theorem == "grunbaum-r" and (
+            args.samples is not None or bodies.exact_section_profile(body, u) is None):
         seed = _resolve_seed(args)
         if seed is None:
             raise GrunlabError("this run needs Monte Carlo: give --seed or set GRUNLAB_SEED")

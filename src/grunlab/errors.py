@@ -48,7 +48,8 @@ class ConvergenceError(GrunlabError, RuntimeError):
 
 
 class FloatRangeError(GrunlabError, OverflowError):
-    """An absolute integral leaves the float range: a power of the profile's
-    scale overflows. Centroids and tail ratios, which do not depend on the
-    scale, are then taken from the same profile scaled to maximum 1, which
-    every profile kind gives."""
+    """A number leaves the float range: an absolute integral, where a power
+    of the profile's scale overflows, a moment about t = 0 of a profile far
+    from the origin, or a report's ratio. Centroids and tail ratios read the
+    integrals at the scale each profile names, so scaling h alone never
+    raises it for them."""

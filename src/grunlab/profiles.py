@@ -11,16 +11,20 @@ interval [a, b]:
 
 Piecewise-linear profiles integrate through one segment kernel, shared with
 the extremal search; power laws and ball sections have closed forms. Every
-profile kind integrates itself: integrals(beta, lo, hi) gives (I_beta,
-M_beta) on a sub-interval lo < hi at every beta >= 0, where beta = 0
-integrates the indicator of {h > 0} (the limit as the power tends to 0), and
-_at_unit_max() gives the same profile scaled to maximum 1. All profiles are
+profile kind integrates itself and names the scale it integrates at:
+integrals(beta, lo, hi) gives (mass, moment, top), the integrals of
+(h / top)^beta and t (h / top)^beta on a sub-interval lo < hi at every
+beta >= 0, with a scale top > 0 of the kind's choosing (its maximum, or the
+largest value it looked at), where beta = 0 integrates the indicator of
+{h > 0} (the limit as the power tends to 0). Ratios and centroids read the
+scaled integrals, so they do not change when h is scaled by a power of 2 and
+stay in range at every beta; absolute integrals multiply by top^beta once,
+and raise FloatRangeError when that leaves the float range. All profiles are
 immutable after construction and all operations are pure.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass
@@ -52,6 +56,12 @@ def _check_exponent(name, value):
     """Raise ParameterError unless value is a finite, non-negative exponent."""
     if not (math.isfinite(value) and value >= 0.0):
         raise ParameterError(f"{name} must be finite and non-negative, got {value}")
+
+
+def _check_power(name, value):
+    """Raise ParameterError unless value is a finite, positive exponent."""
+    if not 0.0 < value < math.inf:
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -216,11 +226,7 @@ class PiecewiseLinear:
     def integrals(self, beta, lo, hi):
         ts, hs = self._restricted(lo, hi)
         mass, moment = _mass_moment(ts, hs[None], beta)
-        scale = self._top ** beta
-        return float(mass[0]) * scale, float(moment[0]) * scale
-
-    def _at_unit_max(self):
-        return PiecewiseLinear(np.column_stack([self.ts, self._unit]))
+        return float(mass[0]), float(moment[0]), self._top or 1.0
 
     def to_json(self):
         return {"breakpoints": [[float(t), float(h)] for t, h in zip(self.ts, self.hs)]}
@@ -254,13 +260,9 @@ class ConcaveProfile(PiecewiseLinear):
 
 
 class AnalyticProfile:
-    """Base for closed-form profile families; subclasses fix the formula.
-
-    The copy made by _at_unit_max integrates h / max h instead of h.
-    """
+    """Base for closed-form profile families; subclasses fix the formula."""
 
     kind = None
-    _unit_max = False
 
     @property
     def domain(self):
@@ -272,10 +274,18 @@ class AnalyticProfile:
     def max_value(self):
         raise NotImplementedError
 
-    def _at_unit_max(self):
-        unit = copy.copy(self)
-        unit._unit_max = True
-        return unit
+    def _check_finite(self):
+        """Raise ProfileError unless every parameter is finite and the maximum
+        is a positive float, the scale that integrals names."""
+        for name, value in self._params().items():
+            if not math.isfinite(value):
+                raise ProfileError(f"{name} must be finite, got {value}")
+        try:
+            top = self.max_value()
+        except OverflowError:
+            top = math.inf
+        if not 0.0 < top < math.inf:
+            raise ProfileError(f"maximum {top:g} is not a positive float")
 
     def to_json(self):
         return {"kind": self.kind, "params": self._params()}
@@ -297,6 +307,7 @@ class ConstantProfile(AnalyticProfile):
         self.c = float(c)
         self.gamma = float(gamma)
         self.delta = float(delta)
+        self._check_finite()
 
     @property
     def domain(self):
@@ -311,12 +322,8 @@ class ConstantProfile(AnalyticProfile):
     def max_value(self):
         return self.c
 
-    def _scale(self, beta):
-        return 1.0 if self._unit_max else self.c ** beta
-
     def integrals(self, beta, lo, hi):
-        scale = self._scale(beta)
-        return scale * (hi - lo), scale * 0.5 * (hi * hi - lo * lo)
+        return hi - lo, 0.5 * (hi * hi - lo * lo), self.c
 
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta}
@@ -326,9 +333,9 @@ class _PowerLawProfile(AnalyticProfile):
     """Shared closed forms for c * (signed distance to an endpoint)^q.
 
     With L the domain length and s in [0, 1] the distance to the vanishing
-    end over L, h^beta = max^beta s^m for m = q beta, so every powered mass
-    and moment is max^beta L times powers of s, which stay in range at every
-    beta. Subclasses set _sign: +1 when h vanishes at gamma, -1 at delta.
+    end over L, (h / max)^beta = s^m for m = q beta, so every mass and
+    moment at the scale max is L times powers of s, which stay in range at
+    every beta. Subclasses set _sign: +1 when h vanishes at gamma, -1 at delta.
     """
 
     def __init__(self, c, gamma, delta, q):
@@ -342,6 +349,7 @@ class _PowerLawProfile(AnalyticProfile):
         self.gamma = float(gamma)
         self.delta = float(delta)
         self.q = float(q)
+        self._check_finite()
 
     @property
     def domain(self):
@@ -355,11 +363,10 @@ class _PowerLawProfile(AnalyticProfile):
         end = self.gamma if self._sign > 0 else self.delta
         s0, s1 = sorted((self._sign * (lo - end) / length, self._sign * (hi - end) / length))
         m = self.q * beta
-        scale = length if self._unit_max else self.max_value() ** beta * length
         mass = (s1 ** (m + 1.0) - s0 ** (m + 1.0)) / (m + 1.0)
         # t = end + _sign L s
-        return scale * mass, scale * (end * mass + self._sign * length
-                                      * (s1 ** (m + 2.0) - s0 ** (m + 2.0)) / (m + 2.0))
+        moment = end * mass + self._sign * length * (s1 ** (m + 2.0) - s0 ** (m + 2.0)) / (m + 2.0)
+        return length * mass, length * moment, self.max_value()
 
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta, "q": self.q}
@@ -392,7 +399,7 @@ class BallSectionProfile(AnalyticProfile):
 
     h(t) = kappa_{dim-1} (radius^2 - (t - center)^2)^{(dim-1)/2}. With
     x = (t - center) / radius and g = (dim - 1) beta / 2, h^beta is
-    kappa^beta radius^(2g) (1 - x^2)^g, so every powered mass is a difference
+    max^beta (1 - x^2)^g, so every mass at the scale max is a difference
     of incomplete beta integrals B_y(g + 1, g + 1) at y = (1 + x) / 2 (see
     _ball_tail) and every moment is center times the mass plus an elementary
     odd term, exact on every sub-interval at every beta.
@@ -409,6 +416,7 @@ class BallSectionProfile(AnalyticProfile):
         self.dim = int(dim)
         self.center = float(center)
         self._kappa = unit_ball_volume(self.dim - 1)
+        self._check_finite()
 
     @property
     def domain(self):
@@ -429,12 +437,6 @@ class BallSectionProfile(AnalyticProfile):
         w = 2.0 * self.radius
         return max(t - a, 0.0) / w, max(b - t, 0.0) / w
 
-    def _scale(self, beta, e):
-        """kappa^beta radius^(2g + 1) for the index e = g + 1: max^beta radius."""
-        if self._unit_max:
-            return self.radius
-        return self._kappa ** beta * self.radius ** (2.0 * e - 1.0)
-
     def integrals(self, beta, lo, hi):
         e = 0.5 * (self.dim - 1) * beta + 1.0
         (p0, q0), (p1, q1) = self._ends(lo), self._ends(hi)
@@ -444,10 +446,10 @@ class BallSectionProfile(AnalyticProfile):
             unit = _ball_tail(q0, p0, e) - _ball_tail(q1, p1, e)
         else:  # across the centre: the whole less each side's own tail
             unit = 2.0 * _ball_tail(0.5, 0.5, e) - _ball_tail(p0, q0, e) - _ball_tail(q1, p1, e)
-        mass = max(unit, 0.0) * self._scale(beta, e)
+        mass = max(unit, 0.0) * self.radius
         # int x (1 - x^2)^g dx = -(1 - x^2)^(g + 1) / (2 (g + 1)), with 1 - x^2 = 4 y (1 - y)
         odd = ((4.0 * p0 * q0) ** e - (4.0 * p1 * q1) ** e) / (2.0 * e)
-        return mass, self.center * mass + odd * self.radius * self._scale(beta, e)
+        return mass, self.center * mass + odd * self.radius * self.radius, self.max_value()
 
     def _params(self):
         return {"radius": self.radius, "dim": self.dim, "center": self.center}
@@ -493,13 +495,13 @@ def _ball_tail(y, z, e):
 class PowerProfile:
     """Lazy pointwise power base(t)^exponent of another profile.
 
-    Integrals of (base^e)^beta reduce to integrals of base^(e*beta), so the
-    wrapper stays exact whenever the base is.
+    Integrals of (base^e)^beta are integrals of base^(e*beta), which
+    _integrals takes from the base, so the wrapper stays exact whenever the
+    base is.
     """
 
     def __init__(self, base, exponent):
-        if not exponent > 0.0:
-            raise ParameterError("exponent must be positive")
+        _check_power("exponent", exponent)
         self.base = base
         self.exponent = float(exponent)
 
@@ -517,26 +519,25 @@ class PowerProfile:
     def max_value(self):
         return self.base.max_value() ** self.exponent
 
-    def integrals(self, beta, lo, hi):
-        return self.base.integrals(beta * self.exponent, lo, hi)
-
-    def _at_unit_max(self):
-        return PowerProfile(self.base._at_unit_max(), self.exponent)
-
     def __repr__(self):
         return f"PowerProfile({self.base!r} ** {self.exponent:g})"
 
 
 def power_profile(base, exponent):
-    """Raise a profile to a positive power, collapsing closed forms eagerly."""
+    """Raise a profile to a positive power, collapsing closed forms eagerly
+    unless the collapsed maximum leaves the float range."""
+    _check_power("exponent", exponent)
     if exponent == 1.0:
         return base
     if isinstance(base, PowerProfile):
         return power_profile(base.base, base.exponent * exponent)
-    if isinstance(base, ConstantProfile):
-        return ConstantProfile(base.c ** exponent, base.gamma, base.delta)
-    if isinstance(base, _PowerLawProfile):
-        return type(base)(base.c ** exponent, base.gamma, base.delta, base.q * exponent)
+    try:
+        if isinstance(base, ConstantProfile):
+            return ConstantProfile(base.c ** exponent, base.gamma, base.delta)
+        if isinstance(base, _PowerLawProfile):
+            return type(base)(base.c ** exponent, base.gamma, base.delta, base.q * exponent)
+    except (OverflowError, ProfileError):
+        pass
     return PowerProfile(base, exponent)
 
 
@@ -643,24 +644,35 @@ def _in_range(val, what, beta):
 
 
 def _integrals(h, beta, interval=None):
-    """h's own (mass, moment) at power beta >= 0 over the interval, where
-    power 0 integrates the indicator of {h > 0}. The mass is range-checked;
-    the moment, which can overflow where the mass does not, is left to the
-    callers that read it."""
+    """(mass, moment, (top, power)) of h at power beta >= 0 over the interval,
+    where power 0 integrates the indicator of {h > 0}: the integrals of
+    (g / top)^power and t (g / top)^power, with g h's innermost base and
+    power beta times the exponents of the PowerProfiles around it. The mass
+    is range-checked; the moment, which can overflow where the mass does not,
+    is left to the callers that read it."""
     lo, hi = _check_interval(h, interval)
+    power = beta
+    while isinstance(h, PowerProfile):
+        power, h = power * h.exponent, h.base
     if not hi > lo:
-        return 0.0, 0.0
+        return 0.0, 0.0, (1.0, power)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked here or by callers
+        mass, moment, top = h.integrals(power, lo, hi)
+    return max(_in_range(mass, "powered mass", beta), 0.0), float(moment), (top, power)
+
+
+def _absolute(value, scale, what, beta):
+    """value * top^power for a scale (top, power) as _integrals gives it: a
+    float, or an array under the caller's numpy error state. Raises
+    FloatRangeError when the product leaves the float range."""
+    top, power = scale
     try:
-        with np.errstate(over="ignore", invalid="ignore"):  # checked here or by callers
-            mass, moment = h.integrals(beta, lo, hi)
-    except OverflowError as exc:
-        raise _range_error("powered mass", beta) from exc
-    return max(_in_range(mass, "powered mass", beta), 0.0), float(moment)
-
-
-def _check_beta(beta):
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+        value = value * top ** power
+    except OverflowError:
+        value = math.inf
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise _range_error(what, beta)
+    return value
 
 
 def powered_integral(h, beta, interval=None):
@@ -668,8 +680,9 @@ def powered_integral(h, beta, interval=None):
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    _check_beta(beta)
-    return _integrals(h, beta, interval)[0]
+    _check_power("beta", beta)
+    mass, _, scale = _integrals(h, beta, interval)
+    return _absolute(mass, scale, "powered mass", beta)
 
 
 def moment_integral(h, beta, interval=None):
@@ -677,8 +690,9 @@ def moment_integral(h, beta, interval=None):
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    _check_beta(beta)
-    return _in_range(_integrals(h, beta, interval)[1], "powered moment", beta)
+    _check_power("beta", beta)
+    _, moment, scale = _integrals(h, beta, interval)
+    return _absolute(moment, scale, "powered moment", beta)
 
 
 def powered_split(h, beta, cut):
@@ -692,34 +706,20 @@ def powered_split(h, beta, cut):
     cut = _check_interval(h, (cut, b))[0]
     if isinstance(h, PiecewiseLinear):
         total, right = _mass_tail(h.ts, h._unit[None], beta, np.array([cut]))
-        try:
-            scale = h._top ** beta
-        except OverflowError as exc:
-            raise _range_error("powered mass", beta) from exc
-        return float(total[0]) * scale, float(right[0]) * scale
-    return _integrals(h, beta)[0], _integrals(h, beta, (cut, b))[0]
-
-
-def _scale_free(fn, h, *args):
-    """fn(h, *args) for a quantity that does not change when h is scaled.
-
-    When a power of h's scale leaves the float range, by overflow or by
-    underflow to a zero mass, the quantity is taken from h / max h instead.
-    """
-    try:
-        return fn(h, *args)
-    except (FloatRangeError, DegenerateProfileError):
-        return fn(h._at_unit_max(), *args)
+        total, right = (float(total[0]), (h._top, beta)), (float(right[0]), (h._top, beta))
+    else:
+        total, right = _integrals(h, beta)[::2], _integrals(h, beta, (cut, b))[::2]
+    return _absolute(*total, "powered mass", beta), _absolute(*right, "powered mass", beta)
 
 
 def _centroid_mass(h, alpha):
-    """(g_alpha(h), int h^alpha) from one integration of h."""
-    total, moment = _integrals(h, alpha)
+    """(g_alpha(h), mass, scale) from one integration of h, as _integrals."""
+    total, moment, scale = _integrals(h, alpha)
     moment = _in_range(moment, "powered moment", alpha)
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass; centroid undefined")
     a, b = h.domain
-    return min(max(moment / total, a), b), total
+    return min(max(moment / total, a), b), total, scale
 
 
 def alpha_centroid(h, alpha):
@@ -727,29 +727,25 @@ def alpha_centroid(h, alpha):
 
     alpha = 0 weighs by the indicator of {h > 0} (the alpha -> 0 limit), so
     it gives the centroid of {h > 0}: about the midpoint on a profile
-    positive inside its domain, as every concave one is. Scale-free: a
-    profile whose powers leave the float range gives the centroid of
-    h / max h.
+    positive inside its domain, as every concave one is. Scale-free: it is
+    read from the integrals at the scale the profile names, so it stays in
+    range at every alpha.
     """
     _check_exponent("alpha", alpha)
-    if isinstance(h, PiecewiseLinear):
-        a, b = h.domain
-        total, moment = (float(v[0]) for v in _mass_moment(h.ts, h._unit[None], alpha))
-        if not total > 0.0:
-            raise DegenerateProfileError("zero total powered mass; centroid undefined")
-        return min(max(moment / total, a), b)
-    return _scale_free(_centroid_mass, h, alpha)[0]
+    return _centroid_mass(h, alpha)[0]
 
 
 def _ratio_cut(h, alpha, beta):
     """The tail ratio and its cut; at alpha = beta the centroid's mass is the total."""
-    cut, total = _centroid_mass(h, alpha)
+    cut, total, (top, power) = _centroid_mass(h, alpha)
     if beta != alpha:
-        total = _integrals(h, beta)[0]
-    right = _integrals(h, beta, (cut, h.domain[1]))[0]
+        total, _, (top, power) = _integrals(h, beta)
+    right, _, (top_right, _) = _integrals(h, beta, (cut, h.domain[1]))
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass")
-    return right / total, cut
+    if not right > 0.0:  # an empty tail (a cut rounded onto b) names the scale 1
+        return 0.0, cut
+    return _absolute(right / total, (top_right / top, power), "tail ratio", beta), cut
 
 
 def _tail_ratio_cut(h, alpha, beta):
@@ -759,9 +755,14 @@ def _tail_ratio_cut(h, alpha, beta):
     if isinstance(h, PiecewiseLinear):
         if not h._top > 0.0:
             raise DegenerateProfileError("zero total powered mass")
-        ratio, cut = _tail_ratios(h.ts, h.hs[None], alpha, beta)
-        return float(ratio[0]), float(cut[0])
-    return _scale_free(_ratio_cut, h, alpha, beta)
+        with np.errstate(over="ignore", invalid="ignore"):  # a moment far from t = 0 overflows
+            ratio, cut = _tail_ratios(h.ts, h.hs[None], alpha, beta)
+        ratio, cut = float(ratio[0]), float(cut[0])
+        if not (math.isfinite(ratio) and math.isfinite(cut)):
+            raise FloatRangeError(f"tail ratio at powers ({alpha:g}, {beta:g}) is not finite: "
+                                  "a mass or a moment about t = 0 leaves the float range")
+        return ratio, cut
+    return _ratio_cut(h, alpha, beta)
 
 
 def tail_mass_ratio(h, alpha, beta):
@@ -770,8 +771,9 @@ def tail_mass_ratio(h, alpha, beta):
     Returns int_{g_alpha(h)}^b h^beta / int_a^b h^beta, a number in (0, 1).
     Power 0 (alpha or beta) weighs by the indicator of {h > 0}, the limit as
     the power tends to 0: beta = 0 gives the length of {h > 0} right of the
-    cut over the length of {h > 0}. Scale-free: a profile whose powers leave
-    the float range gives the ratio of h / max h.
+    cut over the length of {h > 0}. Scale-free: it is read from the
+    integrals at the scales the profile names, so it stays in range at every
+    power.
     """
     return _tail_ratio_cut(h, alpha, beta)[0]
 
@@ -846,8 +848,7 @@ def p_concavity_check(f, p, tol=CONCAVITY_TOL):
     within tol (relative to the powered maximum). Total: never raises on a
     valid profile; a failure returns the violating triple as witness.
     """
-    if not p > 0.0:
-        raise ParameterError(f"p must be positive, got {p}")
+    _check_power("p", p)
     t0, t1, t2 = _concavity_triples(f)
     pts, inverse = np.unique(np.concatenate([t0, t1, t2]), return_inverse=True)
     vals = np.maximum(np.asarray(f.value(pts), dtype=float), 0.0) ** p
@@ -877,8 +878,12 @@ def superlevel_masses(h, beta, levels):
 
     This is the mass, under the weight y^{beta-1} dy dt, of the part of the
     hypograph of h lying above height s. Exact per segment for piecewise-
-    linear h; vectorized over levels.
+    linear h, the only kind it takes; vectorized over levels.
     """
+    _check_power("beta", beta)
+    if not isinstance(h, PiecewiseLinear):
+        raise ProfileError(f"superlevel masses need a piecewise-linear profile, "
+                           f"not {type(h).__name__}")
     ts, hs = h.ts, h.hs
     s = np.asarray(levels, dtype=float)[:, None]
     t0, t1 = ts[:-1][None, :], ts[1:][None, :]
@@ -916,8 +921,7 @@ def superlevel_measure_concavity_check(h, beta, grid_size=512, tol=1e-7):
     area above height sigma of the hypograph of h^beta, a convex set, and
     Brunn-Minkowski applies. At beta = 1 the two forms coincide.
     """
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    _check_power("beta", beta)
     if grid_size < 3:
         raise ParameterError("grid_size must be at least 3")
     levels = np.linspace(0.0, h.max_value(), int(grid_size))
@@ -945,8 +949,7 @@ def tail_masses(h, beta, cuts):
         i = np.searchsorted(ts[1:-1], s, side="right")  # the segment holding s
         hcut = hs[i] + (hs[i + 1] - hs[i]) / (ts[i + 1] - ts[i]) * (s - ts[i])
         part, _ = _segments(hcut, hs[i + 1], ts[i + 1] - s, beta, False)
-        try:
-            return (part + after[i + 1]) * h._top ** beta
-        except OverflowError as exc:
-            raise _range_error("powered mass", beta) from exc
-    return np.array([_integrals(h, beta, (si, b))[0] for si in s])
+        with np.errstate(over="ignore"):
+            return _absolute(part + after[i + 1], (h._top, beta), "powered mass", beta)
+    return np.array([_absolute(mass, scale, "powered mass", beta)
+                     for mass, _, scale in (_integrals(h, beta, (si, b)) for si in s)])

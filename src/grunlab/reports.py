@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
+
+from .errors import FloatRangeError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,12 @@ class TheoremReport:
 
 
 def make_report(theorem, ratio, bound, tolerance, provenance, details=None):
+    """A TheoremReport; a ratio or bound that is not a finite number gives no
+    verdict (FloatRangeError), nor does a NaN tolerance (ParameterError)."""
+    if not (math.isfinite(ratio) and math.isfinite(bound)):
+        raise FloatRangeError(f"{theorem}: ratio {ratio} or bound {bound} is not finite")
+    if math.isnan(tolerance):
+        raise ParameterError("tolerance must be a number, got nan")
     slack = ratio - bound
     return TheoremReport(
         theorem=theorem,

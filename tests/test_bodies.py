@@ -7,6 +7,7 @@ import math
 import pkgutil
 import time
 import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -329,7 +330,6 @@ def test_no_production_path_reaches_adaptive_simpson(monkeypatch):
 
 
 def test_grunbaum_r_at_r_one_integrates_the_total_mass_once(monkeypatch):
-    real = gl.profiles.powered_integral
     rng = np.random.default_rng(71)
     for body in (gl.Ball(rng.normal(size=4), 1.3), gl.Simplex(rng.normal(size=(4, 3)))):
         u = _rand_unit(rng, body.dim)
@@ -347,8 +347,7 @@ def test_grunbaum_r_at_r_one_integrates_the_total_mass_once(monkeypatch):
         monkeypatch.undo()
         cut = rep.details["cut"]
         assert calls == [(1.0, a, b), (1.0, cut, b)]
-        assert rep.details["lower_fraction"] == 1.0 - real(profile, 1.0, (cut, b)) / real(
-            profile, 1.0)
+        assert rep.details["lower_fraction"] == 1.0 - gl.tail_mass_ratio(profile, 1.0, 1.0)
 
 
 @pytest.mark.parametrize("body,u,p,r", [
@@ -995,8 +994,9 @@ def test_spline_rule_matches_split_quad(name, body, u):
     """The fixed rule against scipy quad on each knot interval, at powers
     below 1, non-integer powers above it and a large integer power, on the
     profile scaled to maximum 1 (the large power would underflow otherwise)."""
-    prof = gl.exact_section_profile(body, u)._at_unit_max()
+    prof = gl.exact_section_profile(body, u)
     assert isinstance(prof, SimplexSplineProfile)
+    prof = SimplexSplineProfile(prof.knots, prof.volumes / prof.max_value())
     # boxes in R^5 and R^6 have 120 and 720 simplices, and quad's scalar
     # evaluations of them cost seconds per power
     powers = {"box5": (0.5, 2.5, 7.3), "box6": (0.5,)}.get(
@@ -1032,17 +1032,34 @@ def test_spline_ratios_are_scale_free():
     rng = np.random.default_rng(1)
     tetra = gl.Simplex(rng.normal(size=(4, 3)) * 10)
     prof = gl.exact_section_profile(tetra, rng.normal(size=3))
-    unit = prof._at_unit_max()
+    unit = SimplexSplineProfile(prof.knots, prof.volumes / prof.max_value())
     assert unit.max_value() == pytest.approx(1.0, rel=1e-14)
+    scaled = SimplexSplineProfile(prof.knots, prof.volumes * 2.0 ** -40)
     with np.errstate(over="raise", invalid="raise"):  # no warning escapes
         with pytest.raises(gl.FloatRangeError):
             gl.powered_integral(prof, 600.0)
         for beta in (600.0, 640.5):
-            assert gl.tail_mass_ratio(prof, 1.0, beta) == gl.tail_mass_ratio(unit, 1.0, beta)
-            assert gl.alpha_centroid(prof, beta) == gl.alpha_centroid(unit, beta)
+            ratio, centroid = gl.tail_mass_ratio(prof, 1.0, beta), gl.alpha_centroid(prof, beta)
+            assert gl.tail_mass_ratio(scaled, 1.0, beta) == ratio
+            assert gl.alpha_centroid(scaled, beta) == centroid
+            assert gl.tail_mass_ratio(unit, 1.0, beta) == pytest.approx(ratio, rel=1e-12)
+            assert gl.alpha_centroid(unit, beta) == pytest.approx(centroid, rel=1e-12)
     tiny = SimplexSplineProfile(prof.knots, prof.volumes * 1e-300)
     assert gl.tail_mass_ratio(tiny, 2.0, 3.5) == pytest.approx(
         gl.tail_mass_ratio(prof, 2.0, 3.5), rel=1e-12)
+
+
+def test_spline_ratios_at_extreme_powers_raise_only_float_range_errors():
+    # the largest f at the tail's nodes can exceed that at the whole's, and
+    # its ratio to the power 1e12 overflows
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        prof = gl.exact_section_profile(gl.Simplex(rng.normal(size=(4, 3))), rng.normal(size=3))
+        for alpha, beta in ((1e12, 1e12), (0.5, 1e15)):
+            try:
+                gl.tail_mass_ratio(prof, alpha, beta)
+            except FloatRangeError:
+                pass
 
 
 def test_spline_profile_takes_facet_area_at_the_ends():
@@ -1195,3 +1212,64 @@ def test_fixture_files_load(cone3):
                  "simplex2.json", "simplex3.json", "cone3.json"):
         body = gl.body_from_json(load_fixture(name))
         assert body.volume() > 0.0
+
+
+# ---------------------------------------------------------------------------
+# constructors refuse what is not a body
+# ---------------------------------------------------------------------------
+
+_CUBE_VERTS = [[i, j, k] for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+_CUBE_FACES = [[0, 1, 3, 2], [4, 6, 7, 5], [0, 4, 5, 1], [2, 3, 7, 6], [0, 2, 6, 4],
+               [1, 5, 7, 3]]
+_TETRA = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gl.Ball([math.nan, 0.0], 1.0),
+    lambda: gl.Ball([0.0, 0.0], math.inf),
+    lambda: gl.Ball([0.0, 0.0], math.nan),
+    lambda: gl.Box([0.0, math.nan], [1.0, 1.0]),
+    lambda: gl.Box([0.0, 0.0], [1.0, math.inf]),
+    lambda: gl.Simplex([[0, 0], [1, 0], [math.nan, 1]]),
+    lambda: gl.Polytope2D([[0, 0], [1, 0], [math.inf, 1]]),
+    lambda: gl.Polytope3D([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -math.inf]],
+                          [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]),
+], ids=["ball-center", "ball-radius-inf", "ball-radius-nan", "box-lo", "box-hi", "simplex",
+        "polygon", "polytope3d"])
+def test_bodies_reject_non_finite_input(build):
+    with pytest.raises(DegenerateBodyError):
+        build()
+
+
+def test_polygon_whose_edges_wind_twice_is_refused():
+    step2 = 4.0 * np.pi * np.arange(5) / 5.0  # a pentagram: every turn is left
+    with pytest.raises(DegenerateBodyError, match="wind"):
+        gl.Polytope2D(np.column_stack([np.cos(step2), np.sin(step2)]))
+    step1 = 2.0 * np.pi * np.arange(5) / 5.0
+    pentagon = gl.Polytope2D(np.column_stack([np.cos(step1), np.sin(step1)]))
+    assert pentagon.volume() == pytest.approx(2.5 * np.sin(2.0 * np.pi / 5.0), rel=1e-14)
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        random_convex_polygon(rng)
+    gl.Polytope2D([[0, 0], [1, 0], [2, 0], [2, 1], [0, 1]])  # a straight angle is a vertex
+
+
+def test_polytope3d_needs_a_closed_boundary():
+    with pytest.raises(DegenerateBodyError, match="two faces"):
+        gl.Polytope3D(_TETRA, [[1, 2, 3], [0, 3, 2], [0, 1, 3]])
+    assert gl.Polytope3D(_TETRA, [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]).volume() \
+        == pytest.approx(1.0 / 6.0, rel=1e-14)
+    assert gl.Polytope3D(_CUBE_VERTS, _CUBE_FACES).volume() == pytest.approx(1.0, rel=1e-14)
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        random_polytope3d(rng)
+
+
+def test_every_fixture_loads():
+    names = sorted(p.name for p in (resources.files("grunlab") / "fixtures").iterdir()
+                   if p.name.endswith(".json"))
+    assert len(names) == 10
+    for name in names:
+        data = load_fixture(name)
+        built = gl.body_from_json(data) if "variant" in data else gl.profile_from_json(data)
+        assert built is not None

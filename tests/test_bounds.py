@@ -249,3 +249,10 @@ def test_centroid_domination_random_profiles():
         for alpha, beta in pairs:
             res = gl.centroid_domination_check(prof, alpha, beta)
             assert res.passed, (alpha, beta, res)
+
+
+@pytest.mark.parametrize("p,r,name", [(np.inf, 1.0, "p"), (1.0, np.inf, "r"),
+                                      (np.nan, 1.0, "p")])
+def test_jensen_bbl_bound_names_a_non_finite_parameter(p, r, name):
+    with pytest.raises(ParameterError, match=f"{name} must be finite and positive"):
+        gl.jensen_bbl_bound(p, r)

@@ -209,3 +209,39 @@ def test_table_format_output(capsys):
     code, out, _ = run(capsys, "bound", "--n", "2", "--format", "table")
     assert code == 0
     assert "grunbaum" in out and "0.444444444444" in out
+
+
+def test_non_finite_numbers_are_errors_not_violations(tmp_path, capsys):
+    far = tmp_path / "far.json"  # its moments about t = 0 overflow
+    far.write_text(json.dumps({"breakpoints": [[1e155, 1], [1.5e155, 2], [2e155, 1]]}))
+    ball = tmp_path / "ball.json"
+    ball.write_text('{"variant": "ball", "center": [NaN, 0.0], "radius": 1.0}')
+    for argv, message in (
+            (("verify-fn", str(far), "--alpha", "1", "--beta", "1"), "not finite"),
+            (("verify-fn", FIXTURES["affine"], "--alpha", "1", "--beta", "1", "--tol", "nan"),
+             "tolerance"),
+            (("verify-body", str(ball), "--theorem", "minkowski-radon", "--u", "1,0"),
+             "center must be finite")):
+        code, _, err = run(capsys, *argv, "--format", "json")
+        assert code == 1, argv
+        assert message in err
+
+
+def test_verify_body_asks_for_a_seed_only_where_it_samples(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("GRUNLAB_SEED", raising=False)
+    box = tmp_path / "box7.json"  # above R^6 a box has no exact profile off the axes
+    box.write_text(json.dumps({"variant": "box", "min_corner": [0] * 7,
+                               "max_corner": [1, 2, 1, 1, 1, 1, 3]}))
+    u = ",".join(["1"] * 7)
+    code, out, _ = run(capsys, "verify-body", str(box), "--theorem", "minkowski-radon",
+                       "--u", u, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+    code, _, err = run(capsys, "verify-body", str(box), "--theorem", "makai-fradelizi",
+                       "--u", u, "--format", "json")
+    assert code == 1
+    assert "no exact section profile" in err and "seed" not in err
+    code, _, err = run(capsys, "verify-body", str(box), "--theorem", "grunbaum-r", "--u", u,
+                       "--p", "0.2", "--r", "1", "--format", "json")
+    assert code == 1
+    assert "seed" in err

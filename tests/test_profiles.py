@@ -15,6 +15,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import grunlab as gl
+from grunlab.bodies import SimplexSplineProfile
 from grunlab.errors import (
     DegenerateProfileError,
     DomainError,
@@ -199,7 +200,8 @@ def test_ball_section_centroid_is_the_centre(radius, n, center):
     h = gl.BallSectionProfile(radius, n, center)
     for r in (0.5, 1.0, 3.0):
         # the odd part of the moment vanishes exactly on the whole support
-        assert gl.moment_integral(h, r) == center * gl.powered_integral(h, r)
+        mass, moment, _ = gl.profiles._integrals(h, r)
+        assert moment == center * mass
         assert abs(gl.alpha_centroid(h, r) - center) <= math.ulp(center)
 
 
@@ -752,3 +754,109 @@ def test_ratio_finite_and_unchanged_at_extreme_scales():
         assert abs(gl.tail_mass_ratio(h, 2.0, 3.0) - base) <= 1e-12
         assert abs(gl.tail_ratio_grid(ts, scale * hs, 2.0, 3.0) - base) <= 1e-12
         assert gl.verify_functional(h, 2.0, 3.0).ratio == gl.tail_mass_ratio(h, 2.0, 3.0)
+
+
+# ---------------------------------------------------------------------------
+# every integral names its own scale
+# ---------------------------------------------------------------------------
+
+_SPLINE = gl.exact_section_profile(
+    gl.Simplex([[0.0, 0.0, 0.0], [1.3, 0.0, 0.0], [0.2, 0.9, 0.0], [0.1, 0.3, 1.1]]),
+    [0.3, -0.5, 0.8])
+
+
+def _kinds_scaled_by(f):
+    """Every profile kind with a scale, and a PowerProfile of each, scaled by f."""
+    kinds = [gl.ConcaveProfile([[0.0, 0.3 * f], [0.4, 1.7 * f], [1.1, 2.0 * f], [2.0, 0.0]]),
+             gl.ConstantProfile(3.7 * f, -0.2, 1.3),
+             gl.DecreasingPowerProfile(1.3 * f, 0.2, 1.7, 0.8),
+             gl.IncreasingPowerProfile(2.3 * f, -1.0, 2.0, 1.7),
+             gl.HistogramProfile([0.0, 0.5, 1.2, 2.0], [1.0 * f, 3.5 * f, 0.0]),
+             SimplexSplineProfile(_SPLINE.knots, _SPLINE.volumes * f)]
+    return kinds + [gl.PowerProfile(h, 1.5) for h in kinds]
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(-400, 400), alpha=st.floats(0.0, 700.0), beta=st.floats(0.0, 700.0))
+def test_ratios_and_centroids_are_bitwise_scale_free(k, alpha, beta):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # no warning escapes
+        for h, scaled in zip(_kinds_scaled_by(1.0), _kinds_scaled_by(2.0 ** k)):
+            assert gl.tail_mass_ratio(scaled, alpha, beta) == gl.tail_mass_ratio(h, alpha, beta)
+            assert gl.alpha_centroid(scaled, alpha) == gl.alpha_centroid(h, alpha)
+            if beta > 0.0:
+                for integral in (gl.powered_integral, gl.moment_integral):
+                    try:
+                        assert math.isfinite(integral(scaled, beta))
+                    except gl.FloatRangeError:
+                        pass
+
+
+def test_a_centroid_rounded_onto_the_right_end_leaves_an_empty_tail():
+    spike = gl.IncreasingPowerProfile(1e-10, 0.0, 1.0, 1.0)
+    assert gl.alpha_centroid(spike, 1e17) == 1.0
+    assert gl.tail_mass_ratio(spike, 1e17, 1000.0) == 0.0
+
+
+def test_profile_far_from_the_origin_raises_instead_of_a_nan_ratio():
+    far = gl.ConcaveProfile([[1e155, 1.0], [1.5e155, 2.0], [2e155, 1.0]])
+    for fn in (lambda: gl.tail_mass_ratio(far, 1.0, 1.0), lambda: gl.alpha_centroid(far, 1.0),
+               lambda: gl.verify_functional(far, 1.0, 1.0)):
+        with pytest.raises(gl.FloatRangeError):
+            fn()
+
+
+@pytest.mark.parametrize("build,error", [
+    (lambda: gl.ConstantProfile(math.inf, 0.0, 1.0), ProfileError),
+    (lambda: gl.ConstantProfile(1.0, 0.0, math.inf), ProfileError),
+    (lambda: gl.ConstantProfile(math.nan, 0.0, 1.0), ProfileError),
+    (lambda: gl.DecreasingPowerProfile(1.0, 0.0, 1.0, math.inf), ProfileError),
+    (lambda: gl.IncreasingPowerProfile(math.inf, 0.0, 1.0, 1.0), ProfileError),
+    (lambda: gl.IncreasingPowerProfile(1.0, -math.inf, 1.0, 1.0), ProfileError),
+    (lambda: gl.DecreasingPowerProfile(1.0, 0.0, 10.0, 400.0), ProfileError),  # max overflows
+    (lambda: gl.BallSectionProfile(1.0, 3, math.nan), ProfileError),
+    (lambda: gl.BallSectionProfile(math.inf, 3), ProfileError),
+    (lambda: gl.BallSectionProfile(1e100, 6), ProfileError),  # max overflows
+    (lambda: gl.PowerProfile(gl.ConstantProfile(1.0, 0.0, 1.0), math.inf), ParameterError),
+    (lambda: gl.PowerProfile(gl.ConstantProfile(1.0, 0.0, 1.0), math.nan), ParameterError),
+    (lambda: gl.power_profile(gl.ConcaveProfile([[0, 0], [1, 1], [2, 0]]), math.inf),
+     ParameterError),
+], ids=["const-c", "const-delta", "const-nan", "dec-q", "inc-c", "inc-gamma", "dec-max",
+        "ball-center", "ball-radius", "ball-max", "power-inf", "power-nan", "power_profile"])
+def test_profiles_reject_non_finite_parameters(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_power_profile_keeps_the_wrapper_when_the_collapse_overflows():
+    ramp = gl.DecreasingPowerProfile(1.0, 0.0, 10.0, 1.0)
+    steep = gl.power_profile(ramp, 400.0)  # c (10 - t)^400 peaks at 1e400
+    assert isinstance(steep, gl.PowerProfile)
+    assert gl.tail_mass_ratio(steep, 1.0, 2.0) == gl.tail_mass_ratio(ramp, 400.0, 800.0)
+
+
+@pytest.mark.parametrize("p", [0.0, math.nan, math.inf])
+def test_p_concavity_check_rejects_p_outside_the_positive_floats(p):
+    with pytest.raises(ParameterError):
+        gl.p_concavity_check(gl.ConcaveProfile([[0, 0], [1, 1], [2, 0]]), p)
+
+
+@pytest.mark.parametrize("fn", [lambda h, b: gl.superlevel_masses(h, b, [0.0, 0.5]),
+                                lambda h, b: gl.superlevel_measure_concavity_check(h, b)],
+                         ids=["masses", "check"])
+def test_superlevel_checks_take_a_positive_beta_and_a_piecewise_linear_profile(fn):
+    tent = gl.ConcaveProfile([[0, 0], [1, 1], [2, 0]])
+    for beta in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            fn(tent, beta)
+    with pytest.raises(ProfileError):
+        fn(gl.BallSectionProfile(1.0, 3), 1.0)
+
+
+@pytest.mark.parametrize("ratio,bound,tol,error", [
+    (math.nan, 0.5, 1e-9, gl.FloatRangeError), (math.inf, 0.5, 1e-9, gl.FloatRangeError),
+    (0.5, math.nan, 1e-9, gl.FloatRangeError), (0.5, 0.4, math.nan, ParameterError)])
+def test_reports_refuse_non_finite_numbers(ratio, bound, tol, error):
+    with pytest.raises(error):
+        gl.make_report("functional-tail", ratio, bound, tol, {})
+    with pytest.raises(ParameterError):
+        gl.verify_functional(gl.ConcaveProfile([[0, 0], [1, 1], [2, 0]]), 1.0, 1.0, tol=math.nan)
