@@ -30,6 +30,7 @@ from .bounds import classic_bounds, grunbaum_r_bound
 from .errors import (
     DegenerateBodyError,
     DomainError,
+    FloatRangeError,
     GrunlabError,
     ParameterError,
     PreconditionError,
@@ -41,12 +42,12 @@ from .profiles import (
     ConstantProfile,
     DecreasingPowerProfile,
     IncreasingPowerProfile,
+    _certify_p_concave,
     _check_in_domain,
     _tail_ratio_cut,
     alpha_centroid,
     evaluate,
     integration_provenance,
-    p_concavity_check,
     power_profile,
     powered_integral,
     profile_from_json,
@@ -120,7 +121,14 @@ class Ball:
         return self.center - self.radius, self.center + self.radius
 
     def volume(self):
-        return unit_ball_volume(self.dim) * self.radius ** self.dim
+        try:
+            vol = unit_ball_volume(self.dim) * self.radius ** self.dim
+        except OverflowError:  # the power overflowed; the product can too, to inf
+            vol = math.inf
+        if vol == math.inf:
+            raise FloatRangeError(f"volume of a ball of radius {self.radius:g} in "
+                                  f"R^{self.dim} leaves the float range")
+        return vol
 
     def centroid(self):
         return self.center.copy()
@@ -236,7 +244,8 @@ class Simplex(_VertexPolytope):
             raise DegenerateBodyError("simplex needs n+1 vertices in R^n")
         edges = (v[1:] - v[0]).T
         det = float(np.linalg.det(edges))
-        if abs(det) <= _GEOM_TOL * max(1.0, np.abs(v).max()) ** v.shape[1]:
+        # against the Hadamard bound: the product of the edge lengths
+        if abs(det) <= _GEOM_TOL * np.prod(np.linalg.norm(edges, axis=0)):
             raise DegenerateBodyError("simplex vertices are affinely dependent")
         self._inv_edges = np.linalg.inv(edges)
 
@@ -263,13 +272,13 @@ class Polytope2D(_VertexPolytope):
         edges = np.roll(v, -1, axis=0) - v
         nxt = np.roll(edges, -1, axis=0)
         cross = edges[:, 0] * nxt[:, 1] - edges[:, 1] * nxt[:, 0]
-        scale = max(float(np.abs(v).max()), 1.0) ** 2
-        if np.any(cross < -1e-9 * scale):
+        length = np.hypot(edges[:, 0], edges[:, 1])
+        if np.any(cross < -1e-9 * length * np.roll(length, -1)):
             raise DegenerateBodyError("vertices must be convex in counter-clockwise order")
         # left turns add up to 2 pi k for a boundary that winds k times round
         if np.arctan2(cross, np.sum(edges * nxt, axis=1)).sum() > 3.0 * math.pi:
             raise DegenerateBodyError("edges wind more than once around (a star polygon)")
-        x, y = v[:, 0], v[:, 1]
+        x, y = (v - v[0]).T
         if np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) <= 0.0:  # twice the signed area
             raise DegenerateBodyError("polygon must have positive area (ccw order)")
 
@@ -305,21 +314,20 @@ class Polytope3D(_VertexPolytope):
         if any(count != 2 for count in edges.values()):
             raise DegenerateBodyError("every edge must lie on exactly two faces")
         self._interior = v.mean(axis=0)
+        w = v - self._interior  # tested about the mean, wherever the body sits
         normals, offsets = [], []
-        scale = max(float(np.abs(v).max()), 1.0)
+        scale = float(np.abs(w).max())
         for f in self.faces:
-            pts = v[list(f)]
-            n = self._newell_normal(pts)
+            n = self._newell_normal(w[list(f)])
             if np.linalg.norm(n) <= _GEOM_TOL * scale * scale:
                 raise DegenerateBodyError("degenerate face")
             n = n / np.linalg.norm(n)
-            off = float(n @ pts[0])
-            if n @ self._interior > off:
-                n, off = -n, -off
-            if np.any(v @ n > off + 1e-9 * scale):
+            if n @ w[f[0]] < 0.0:  # the mean, at 0, lies inside
+                n = -n
+            if np.any(w @ n > n @ w[f[0]] + 1e-9 * scale):
                 raise DegenerateBodyError("face plane does not support the polytope")
             normals.append(n)
-            offsets.append(off)
+            offsets.append(float(n @ v[f[0]]))
         self._normals = np.array(normals)
         self._offsets = np.array(offsets)
 
@@ -371,12 +379,7 @@ class Revolution:
         self.dim = int(dim)
         self.profile = profile
         self._kappa = unit_ball_volume(self.dim - 1)
-        check = p_concavity_check(profile, 1.0 / (self.dim - 1))
-        if not check.ok:
-            raise PreconditionError(
-                f"profile^(1/{self.dim - 1}) is not concave "
-                f"(violation {check.max_violation:.3e}); body would not be convex",
-                witness=check.witness)
+        _certify_p_concave(profile, 1.0 / (self.dim - 1), "revolved profile")
 
     @property
     def axis(self):
@@ -1002,12 +1005,7 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     bound = grunbaum_r_bound(p, r)
     sp = section_profile(body, u, mc=mc)
     if sp.kind == "exact":
-        check = p_concavity_check(sp.profile, p)
-        if not check.ok:
-            raise PreconditionError(
-                f"section profile is not {p}-concave "
-                f"(violation {check.max_violation:.3e} at {check.witness[:3]})",
-                witness=check.witness)
+        _certify_p_concave(sp.profile, p, "section profile")
     else:
         ok, worst = _mc_concavity_ok(sp.profile, sp.sigma, p)
         if not ok:

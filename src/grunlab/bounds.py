@@ -25,15 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProfileError, ParameterError, PreconditionError
+from .errors import DegenerateProfileError, ParameterError
 from .profiles import (
+    _certify_p_concave,
     _check_exponent,
     _check_power,
     _tail_ratio_cut,
     alpha_centroid,
     evaluate,
     integration_provenance,
-    p_concavity_check,
     powered_split,
     tail_masses,
 )
@@ -121,21 +121,13 @@ def classic_bounds(n):
 # profile verification
 # ---------------------------------------------------------------------------
 
-def _require_concave(h, tol=1e-9):
-    check = p_concavity_check(h, 1.0, tol=tol)
-    if not check.ok:
-        raise PreconditionError(
-            f"profile is not concave (violation {check.max_violation:.3e} "
-            f"at triple {check.witness[:3]})", witness=check.witness)
-
-
 def verify_functional(h, alpha, beta, tol=BOUND_TOL):
     """Check the tail-mass inequality for one concave profile.
 
     Returns a TheoremReport with ratio, sharp bound, slack and provenance;
     raises PreconditionError when h fails the concavity certificate.
     """
-    _require_concave(h)
+    _certify_p_concave(h, 1.0, "profile")
     ratio, cut = _tail_ratio_cut(h, alpha, beta)
     bound = functional_bound(alpha, beta)
     prov = integration_provenance(h, (alpha, beta))

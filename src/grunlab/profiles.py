@@ -38,11 +38,12 @@ from .errors import (
     DomainError,
     FloatRangeError,
     ParameterError,
+    PreconditionError,
     ProfileError,
 )
 from .quadrature import unit_ball_volume
 
-# Slope-difference tolerance certifying concavity of a piecewise-linear profile.
+# Chord-test tolerance certifying concavity, relative to the profile's maximum.
 CONCAVITY_TOL = 1e-9
 _CONCAVITY_GRID = 129  # uniform points added to an analytic profile's knots
 
@@ -239,19 +240,18 @@ class PiecewiseLinear:
 class ConcaveProfile(PiecewiseLinear):
     """Piecewise-linear profile certified concave with positive interior.
 
-    Invariants: slopes non-increasing within CONCAVITY_TOL, ordinates >= 0
-    with strict positivity at interior breakpoints, total mass positive.
-    Endpoint ordinates may vanish.
+    Invariants: the chord test of p_concavity_check at p = 1 (so no verdict
+    repeats it), ordinates >= 0 with strict positivity at interior
+    breakpoints, total mass positive. Endpoint ordinates may vanish.
     """
 
     def __init__(self, breakpoints):
         super().__init__(breakpoints)
-        slopes = np.diff(self.hs) / np.diff(self.ts)
-        scale = max(self.hs.max(), 1.0) / max(self.ts[-1] - self.ts[0], 1e-300)
-        if np.any(np.diff(slopes) > CONCAVITY_TOL * max(scale, 1.0)):
-            i = int(np.argmax(np.diff(slopes)))
-            raise ProfileError(
-                f"not concave: slope increases at breakpoint t={self.ts[i + 1]:g}")
+        viol = _knot_chords(self.ts, self.hs)
+        if np.any(viol > CONCAVITY_TOL):
+            i = int(np.argmax(viol))
+            raise ProfileError(f"not concave: chord violation {viol[i]:.3e} "
+                               f"at breakpoint t={self.ts[i + 1]:g}")
         if self.hs.shape[0] > 2 and np.any(self.hs[1:-1] <= 0.0):
             raise ProfileError("interior ordinates must be strictly positive")
         # non-negative ordinates on positive widths: zero mass means all zero
@@ -841,6 +841,15 @@ def _concavity_triples(f):
     return pts[:-2], pts[1:-1], pts[2:]
 
 
+def _knot_chords(ts, hs):
+    """Chord violations at the interior knots of each row of hs (B, m) or (m,)
+    over the row's maximum: p_concavity_check's across-knot triples at p = 1."""
+    t0, t1, t2 = ts[..., :-2], ts[..., 1:-1], ts[..., 2:]
+    lam = (t1 - t0) / (t2 - t0)
+    scale = np.maximum(hs.max(axis=-1, keepdims=True), 1e-300)
+    return ((1.0 - lam) * hs[..., :-2] + lam * hs[..., 2:] - hs[..., 1:-1]) / scale
+
+
 def p_concavity_check(f, p, tol=CONCAVITY_TOL):
     """Certify that f^p is concave by discrete chord tests.
 
@@ -862,6 +871,18 @@ def p_concavity_check(f, p, tol=CONCAVITY_TOL):
         return ConcavityCheck(True, max_violation, None)
     witness = (float(t0[worst]), float(t1[worst]), float(t2[worst]), max_violation)
     return ConcavityCheck(False, max_violation, witness)
+
+
+def _certify_p_concave(f, p, what):
+    """Raise PreconditionError unless f^p passes the chord test, which a
+    ConcaveProfile passed at p = 1 when it was built."""
+    if p == 1.0 and isinstance(f, ConcaveProfile):
+        return
+    check = p_concavity_check(f, p)
+    if not check.ok:
+        raise PreconditionError(
+            f"{what} is not {p:g}-concave (violation {check.max_violation:.3e} "
+            f"at triple {check.witness[:3]})", witness=check.witness)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import grunlab as gl
+from grunlab import search
 
 
 def load_fixture(name):
@@ -346,7 +347,7 @@ def reference_minimize(config):
     Returns (ts, hs, ratio, trace) of the best restart.
     """
     ts = np.linspace(0.0, 1.0, config.m)
-    decay = (config.step_final / config.step_init) ** (1.0 / config.budget)
+    decay = (search._STEP_FINAL / search._STEP_INIT) ** (1.0 / config.budget)
     best_hs, best_ratio, trace = None, np.inf, []
     for k in range(config.restarts):
         rng = np.random.default_rng([config.seed, k])
@@ -354,13 +355,13 @@ def reference_minimize(config):
         if hs is None:
             hs = 1.0 - 0.5 * ts
         cur = gl.tail_ratio_grid(ts, hs, config.alpha, config.beta)
-        step = config.step_init
+        step = search._STEP_INIT
         for it in range(config.budget):
             j = int(rng.integers(0, config.m))
             prop = hs.copy()
             prop[j] = max(prop[j] + rng.choice((-1.0, 1.0)) * step * rng.uniform(0.1, 1.0), 0.0)
             proj = project_concave_row(ts, prop)
-            step = max(step * decay, config.step_final)
+            step = max(step * decay, search._STEP_FINAL)
             if proj is None:
                 continue
             val = gl.tail_ratio_grid(ts, proj, config.alpha, config.beta)

@@ -11,6 +11,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import grunlab as gl
@@ -1263,6 +1265,66 @@ def test_polytope3d_needs_a_closed_boundary():
     rng = np.random.default_rng(18)
     for _ in range(10):
         random_polytope3d(rng)
+
+
+# ---------------------------------------------------------------------------
+# where a body sits: translation leaves its constructor's verdict alone
+# ---------------------------------------------------------------------------
+
+def test_translated_polytopes_are_judged_as_at_the_origin():
+    assert gl.Simplex(np.array(_TETRA) + 1e4).volume() == pytest.approx(1.0 / 6.0, rel=1e-12)
+    cube = gl.Polytope3D(np.array(_CUBE_VERTS) + 1e8, _CUBE_FACES)
+    assert cube.volume() == pytest.approx(1.0, rel=1e-12)
+    assert cube.contains(np.array([[1e8 + 0.5] * 3, [1e8 + 1.5] * 3])).tolist() == [True, False]
+    reflex = np.array([[0, 0], [2, 0], [2, 2], [1, 0.9], [0, 2]])  # dented at (1, 0.9)
+    for offset in (0.0, 1e5):
+        with pytest.raises(DegenerateBodyError, match="convex"):
+            gl.Polytope2D(reflex + offset)
+
+
+def _volume_or_refused(build):
+    try:
+        return build().volume()
+    except DegenerateBodyError:
+        return "refused"
+
+
+def _dyadic(shape, scale=16):
+    """Arrays of multiples of 1/16 up to scale in size: their sums, differences
+    and the body's vertex mean stay exact under the offsets below."""
+    return st.lists(st.integers(-scale * 16, scale * 16), min_size=math.prod(shape),
+                    max_size=math.prod(shape)).map(lambda k: np.reshape(k, shape) / 16.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), kind=st.sampled_from(["simplex", "polygon", "polytope3d"]))
+def test_dyadic_offsets_leave_acceptance_and_volume_unchanged(data, kind):
+    if kind == "simplex":
+        n = data.draw(st.integers(2, 4))
+        verts = data.draw(_dyadic((n + 1, n)))
+        build = gl.Simplex
+    elif kind == "polygon":  # points in angular order: convex, dented or flat
+        pts = data.draw(_dyadic((data.draw(st.integers(3, 7)), 2)))
+        d = pts - pts.mean(axis=0)
+        verts = pts[np.argsort(np.arctan2(d[:, 1], d[:, 0]), kind="stable")]
+        build = gl.Polytope2D
+    else:  # a parallelepiped: eight vertices, so their mean is exact
+        verts = np.array(_CUBE_VERTS) @ data.draw(_dyadic((3, 3), scale=4))
+
+        def build(v):
+            return gl.Polytope3D(v, _CUBE_FACES)
+    offset = data.draw(_dyadic((verts.shape[1],), scale=2 ** 36))
+    assert _volume_or_refused(lambda: build(verts + offset)) \
+        == _volume_or_refused(lambda: build(verts))
+
+
+def test_ball_volume_out_of_the_float_range_raises_float_range_error():
+    with pytest.raises(FloatRangeError, match="float range"):
+        gl.Ball(np.zeros(6), 1e100).volume()  # the power overflows
+    with pytest.raises(FloatRangeError, match="float range"):
+        gl.Ball([0.0], 1e308).volume()  # the product overflows
+    assert gl.Ball(np.zeros(6), 1e50).volume() == pytest.approx(np.pi ** 3 / 6.0 * 1e300,
+                                                                 rel=1e-14)
 
 
 def test_every_fixture_loads():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import grunlab as gl
+from grunlab import bodies, bounds, profiles
 from grunlab.errors import ParameterError, PreconditionError
 
 from conftest import random_profiles
@@ -149,6 +150,29 @@ def test_verify_functional_rejects_non_concave():
     with pytest.raises(PreconditionError) as err:
         gl.verify_functional(raw, 1.0, 1.0)
     assert err.value.witness is not None
+
+
+class _Certified(Exception):
+    pass
+
+
+def test_a_concave_profile_is_certified_once_when_built(monkeypatch):
+    def certify(f, p, tol=None):
+        raise _Certified
+
+    for module in (profiles, bounds, bodies):  # wherever a verdict could call it from
+        if hasattr(module, "p_concavity_check"):
+            monkeypatch.setattr(module, "p_concavity_check", certify)
+    h = gl.ConcaveProfile([[0.0, 0.5], [0.3, 1.0], [1.0, 0.2]])
+    assert gl.verify_functional(h, 1.0, 1.0).passed
+    triangle = gl.Polytope2D([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert gl.verify_grunbaum_r(triangle, [1.0, 2.0], 1.0, 1.0).passed  # a ConcaveProfile
+    for other in (gl.PiecewiseLinear(h.breakpoints), gl.DecreasingPowerProfile(1.0, 0.0, 1.0, 0.5),
+                  gl.PowerProfile(h, 0.5)):
+        with pytest.raises(_Certified):
+            gl.verify_functional(other, 1.0, 1.0)
+    with pytest.raises(_Certified):  # a ConcaveProfile at p != 1
+        gl.verify_grunbaum_r(triangle, [1.0, 2.0], 0.5, 1.0)
 
 
 def test_verify_functional_report_serialization(affine):

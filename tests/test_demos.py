@@ -1,8 +1,5 @@
-"""Smoke test of demos 01-06: they run to the end in-process and print a
-line that each one exists to show.
-
-Demo 07 (extremal search, several seconds) is left to be run by hand.
-"""
+"""Smoke test of demos 01-07: they run to the end in-process and print a
+line that each one exists to show."""
 
 import os
 import runpy
@@ -46,3 +43,10 @@ def test_monte_carlo_demo_prints_the_exact_fraction(capsys):
     out = _run("06_monte_carlo.py", capsys)
     assert f"  exact     {37.0 / 64.0:.6f}\n" in out
     assert "identical estimate: True" in out
+
+
+def test_extremal_search_demo_finds_no_violation_and_nears_the_affine_case(capsys):
+    out = _run("07_extremal_search.py", capsys)
+    assert "violations: 0 " in out
+    search = out.split("extremal search at alpha = beta = 1")[1].splitlines()[1]
+    assert float(search.split("gap")[1]) <= 1e-3

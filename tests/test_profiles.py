@@ -9,12 +9,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 from scipy.integrate import quad
 
 import grunlab as gl
+import grunlab.search as search
 from grunlab.bodies import SimplexSplineProfile
 from grunlab.errors import (
     DegenerateProfileError,
@@ -22,6 +23,7 @@ from grunlab.errors import (
     ParameterError,
     ProfileError,
 )
+from grunlab.profiles import CONCAVITY_TOL
 from grunlab.quadrature import adaptive_simpson
 
 from conftest import (
@@ -526,6 +528,67 @@ def test_p_concavity_on_analytic_profiles():
     assert not gl.p_concavity_check(cone_section, 1.0).ok
     ball3 = gl.BallSectionProfile(1.0, 3)
     assert gl.p_concavity_check(ball3, 0.5).ok
+
+
+def _accepted(ts, hs):
+    try:
+        gl.ConcaveProfile(np.column_stack([ts, hs]))
+    except ProfileError:
+        return False
+    return True
+
+
+@st.composite
+def _dented_profiles(draw):
+    """A concave profile on dyadic abscissas, positive inside, with one knot
+    moved by a relative amount from 1e-14 to 1e-3 either way."""
+    m = draw(st.integers(3, 12))
+    ts = np.cumsum(draw(st.lists(st.integers(1, 64), min_size=m, max_size=m))) / 64.0
+    slopes = np.sort(draw(st.lists(st.floats(-4.0, 4.0), min_size=m - 1,
+                                   max_size=m - 1)))[::-1]
+    hs = np.concatenate([[0.0], np.cumsum(slopes * np.diff(ts))])
+    # lifted above zero by more than the largest dent
+    hs += draw(st.floats(0.01, 1.0)) * (np.ptp(hs) + 1.0) - hs.min()
+    j = draw(st.integers(1, m - 2))
+    hs[j] += draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(-14.0, -3.0)) * hs.max()
+    return ts, hs
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=_dented_profiles(), k=st.integers(-60, 60), shift=st.integers(-2 ** 30, 2 ** 30))
+def test_concave_profile_is_the_chord_certificate_at_every_scale_and_place(data, k, shift):
+    ts, hs = data
+    check = gl.p_concavity_check(gl.PiecewiseLinear(np.column_stack([ts, hs])), 1.0)
+    assume(abs(check.max_violation - CONCAVITY_TOL) > 1e-12)
+    accepted = _accepted(ts, hs)
+    assert accepted == check.ok
+    # scaling by 2^k and a dyadic shift of t are exact, so the verdict cannot move
+    assert _accepted(ts + shift / 64.0, 2.0 ** k * hs) == accepted
+    # the sweep's vectorised test refuses exactly the rows the constructor refuses
+    if accepted:
+        search._check_concave_rows(ts[None], hs[None])
+    else:
+        with pytest.raises(ProfileError, match="not concave"):
+            search._check_concave_rows(ts[None], hs[None])
+
+
+def test_concave_profile_refuses_a_tiny_kink_and_accepts_a_fine_grid():
+    # a convex kink is refused at every scale, 1e-12 included
+    for scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(ProfileError, match="not concave"):
+            gl.ConcaveProfile([[0.0, 0.0], [0.5, 0.2 * scale], [1.0, scale]])
+    # a slope rise of 1e-6 on a 1001-point grid moves one knot 5e-10 of the
+    # maximum below its chord: inside the certificate, as verify-fn agrees
+    ts = np.linspace(0.0, 1.0, 1001)
+    slopes = np.full(1000, -0.5)
+    slopes[500:] += 1e-6
+    data = {"breakpoints": np.column_stack(
+        [ts, np.concatenate([[1.0], 1.0 + np.cumsum(slopes * np.diff(ts))])]).tolist()}
+    h = gl.profile_from_json(data)
+    assert isinstance(h, gl.ConcaveProfile)
+    assert gl.p_concavity_check(gl.PiecewiseLinear(h.breakpoints), 1.0).max_violation \
+        == pytest.approx(5e-10, rel=1e-3)
+    assert gl.verify_functional(h, 1.0, 1.0).passed
 
 
 # ---------------------------------------------------------------------------

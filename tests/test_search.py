@@ -259,13 +259,6 @@ def test_non_finite_or_negative_exponents_rejected(bad):
         gl.tail_ratio_grid(ts, hs, 1.0, bad)
 
 
-@pytest.mark.parametrize("field", ["step_init", "step_final"])
-@pytest.mark.parametrize("bad", [0.0, -1e-4, math.nan, math.inf])
-def test_search_steps_must_be_finite_and_positive(field, bad):
-    with pytest.raises(ParameterError):
-        gl.SearchConfig(alpha=1.0, beta=1.0, seed=1, **{field: bad})
-
-
 def test_random_concave_large_m_returns_and_past_the_gap_limit_raises():
     prof = gl.random_concave(3, 500)
     assert prof.ts.size == 500
