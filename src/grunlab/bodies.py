@@ -172,7 +172,13 @@ class Box:
         return self.lo.copy(), self.hi.copy()
 
     def volume(self):
-        return float(np.prod(self.hi - self.lo))
+        with np.errstate(over="ignore"):  # an overflow to inf is raised below
+            edges = self.hi - self.lo
+            vol = float(np.prod(edges))
+        if vol == math.inf:
+            raise FloatRangeError(f"volume of a box in R^{self.dim} with edges up to "
+                                  f"{edges.max():g} leaves the float range")
+        return vol
 
     def centroid(self):
         return 0.5 * (self.lo + self.hi)
@@ -217,6 +223,11 @@ class _VertexPolytope:
 
     def bounding_box(self):
         return self.verts.min(axis=0), self.verts.max(axis=0)
+
+    def _spread(self):
+        """Largest |coordinate| of the vertices less their mean: a length
+        that does not depend on where the body sits."""
+        return float(np.abs(self.verts - self.verts.mean(axis=0)).max())
 
     def volume(self):
         return float(_simplex_volumes(*self._simplices()).sum())
@@ -284,7 +295,7 @@ class Polytope2D(_VertexPolytope):
 
     def contains(self, pts):
         inside = np.ones(pts.shape[0], dtype=bool)
-        scale = max(float(np.abs(self.verts).max()), 1.0)
+        scale = self._spread()
         for p, q in zip(self.verts, np.roll(self.verts, -1, axis=0)):
             e = q - p
             cross = e[0] * (pts[:, 1] - p[1]) - e[1] * (pts[:, 0] - p[0])
@@ -339,7 +350,7 @@ class Polytope3D(_VertexPolytope):
         return n
 
     def contains(self, pts):
-        scale = max(float(np.abs(self.verts).max()), 1.0)
+        scale = self._spread()
         x = np.ascontiguousarray(pts.T)  # C order, as in Simplex.contains
         return np.all(self._normals @ x <= (self._offsets + 1e-12 * scale)[:, None], axis=0)
 

@@ -8,8 +8,8 @@ over concave piecewise-linear profiles on [0, 1] with max ordinate 1 (both
 normalizations leave R invariant). The optimizer is deliberately simple:
 seeded multi-restart coordinate descent on the ordinates, with re-sorting of
 the slope sequence as the concavity projection. Determinism: a fixed seed
-fixes the entire trajectory; restarts and sweep trials use independently
-derived generators.
+fixes the entire trajectory; search restart k draws from generator [seed, k],
+sweep cell (i, j) draws its trials as one stack from [seed, i, j].
 
 Every ratio comes from the profile engine's segment kernel applied to a
 (B, m) stack of profiles: the restarts of a search move in lockstep as one
@@ -50,8 +50,8 @@ def _check_draw(m, domain):
     return a, b
 
 
-def _gaps(rng, n):
-    """n abscissa gaps summing to 1, each at least _MIN_GAP.
+def _gaps(rng, rows, n):
+    """(rows, n) abscissa gaps, each row summing to 1, each gap >= _MIN_GAP.
 
     The law is that of the endpoints plus the m - 2 middle order statistics
     of m = n + 1 uniforms, conditioned on every gap >= _MIN_GAP. Unconditioned
@@ -65,35 +65,26 @@ def _gaps(rng, n):
     free = 1.0 - n * g
     end = g * free * (n + 1)
     weights = np.cumsum([g * g * n * (n + 1), end, end, free * free])
-    part = int(np.searchsorted(weights, rng.random() * weights[-1], side="right"))
-    y = rng.standard_exponential(n + 2)
-    gaps = y[:n]
-    gaps[0] += y[n] * (part in (1, 3))
-    gaps[-1] += y[n + 1] * (part >= 2)
-    return g + free * gaps / gaps.sum()
+    part = np.searchsorted(weights, rng.random(rows) * weights[-1], side="right")
+    y = rng.standard_exponential((rows, n + 2))
+    gaps = y[:, :n]
+    gaps[:, 0] += y[:, n] * ((part == 1) | (part == 3))
+    gaps[:, -1] += y[:, n + 1] * (part >= 2)
+    return g + free * gaps / gaps.sum(axis=1, keepdims=True)
 
 
-def _draw(rng, m, a, b):
-    """One profile's random draws, in the generator's order: abscissas,
-    slopes, and the lift (0 when the minimum stays at zero)."""
-    ts = np.empty(m)
-    ts[0] = 0.0
-    np.cumsum(_gaps(rng, m - 1), out=ts[1:])
-    ts = a + (b - a) * ts
-    ts[-1] = b
-    slopes = rng.normal(0.0, 2.0 / (b - a), m - 1)
-    lift = rng.uniform(0.05, 0.5) if rng.random() < 0.5 else 0.0
-    return ts, slopes, lift
-
-
-def _random_stack(seeds, m, domain=(0.0, 1.0)):
-    """Abscissas and ordinates, each (B, m), of random_concave(seed, m, domain)
-    for every seed; the ordinates are built for the whole stack at once."""
+def _random_stack(rng, rows, m, domain=(0.0, 1.0)):
+    """Abscissas and ordinates, each (rows, m), of rows random concave
+    profiles drawn from rng as one stack: the gaps, then the slopes, the
+    coins and the lifts, each drawn once for all rows. A lift drawn on tails
+    is not read."""
     a, b = _check_draw(m, domain)
-    n = len(seeds)
-    ts, slopes, lift = np.empty((n, m)), np.empty((n, m - 1)), np.empty(n)
-    for k, seed in enumerate(seeds):
-        ts[k], slopes[k], lift[k] = _draw(np.random.default_rng(seed), m, a, b)
+    ts = np.zeros((rows, m))
+    np.cumsum(_gaps(rng, rows, m - 1), axis=1, out=ts[:, 1:])
+    ts = a + (b - a) * ts
+    ts[:, -1] = b
+    slopes = rng.normal(0.0, 2.0 / (b - a), (rows, m - 1))
+    lift = np.where(rng.random(rows) < 0.5, rng.uniform(0.05, 0.5, rows), 0.0)
     # strictly decreasing slopes, even under ties
     slopes = np.sort(slopes, axis=1)[:, ::-1] - np.arange(m - 1) * 1e-9
     hs = np.zeros(ts.shape)
@@ -111,10 +102,10 @@ def random_concave(seed, m, domain=(0.0, 1.0)):
     least _MIN_GAP of the domain, drawn directly (m <= 1001). Ordinates come
     from a strictly decreasing random slope sequence (sorted normal draws),
     shifted nonnegative and scaled to max 1; with probability 1/2 the minimum
-    stays at an endpoint zero, otherwise the profile is lifted. The same seed
-    always returns the same profile.
+    stays at an endpoint zero, otherwise the profile is lifted. It is the
+    one-row stack of default_rng(seed), so a seed always gives one profile.
     """
-    ts, hs = _random_stack([seed], m, domain)
+    ts, hs = _random_stack(np.random.default_rng(seed), 1, m, domain)
     return ConcaveProfile(np.column_stack([ts[0], hs[0]]))
 
 
@@ -304,9 +295,10 @@ class SweepTable:
 def sweep(alpha_grid, beta_grid, trials, seed, m=12):
     """Random-profile falsification sweep over an (alpha, beta) grid.
 
-    Each cell draws its own deterministic batch of profiles, trial k being
-    random_concave([seed, i, j, k], m) (so cells are order-independent), and
-    records the minimum slack ratio - bound and the profile attaining it.
+    Trial k of cell (i, j) is row k of one stack drawn from
+    default_rng([seed, i, j]), with the law of random_concave (so cells are
+    order-independent), and each cell records the minimum slack
+    ratio - bound and the profile attaining it.
     """
     if trials < 0:
         raise ParameterError(f"trials must be non-negative, got {trials}")
@@ -316,7 +308,7 @@ def sweep(alpha_grid, beta_grid, trials, seed, m=12):
             bound = functional_bound(alpha, beta).value
             min_slack, argmin = np.nan, ""
             if trials:
-                ts, hs = _random_stack([[seed, i, j, k] for k in range(trials)], m)
+                ts, hs = _random_stack(np.random.default_rng([seed, i, j]), trials, m)
                 _check_concave_rows(ts, hs)
                 slack = _tail_ratios(ts, hs, alpha, beta)[0] - bound
                 k = int(np.argmin(slack))

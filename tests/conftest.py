@@ -214,7 +214,7 @@ def row_major_contains(body, pts):
         lam = (pts - body.verts[0]) @ inv.T
         return np.all(lam >= -1e-12, axis=1) & (lam.sum(axis=1) <= 1.0 + 1e-12)
     if isinstance(body, gl.Polytope3D):
-        scale = max(float(np.abs(body.verts).max()), 1.0)
+        scale = float(np.abs(body.verts - body.verts.mean(axis=0)).max())
         return np.all(pts @ body._normals.T <= body._offsets + 1e-12 * scale, axis=1)
     if isinstance(body, gl.Revolution):
         a, b = body.profile.domain

@@ -1282,6 +1282,20 @@ def test_translated_polytopes_are_judged_as_at_the_origin():
             gl.Polytope2D(reflex + offset)
 
 
+def test_translated_polytopes_contain_only_their_own_points():
+    rng = np.random.default_rng(16)
+    triangle = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for offset in (0.0, 1e8):
+        share = gl.Polytope2D(triangle + offset).contains(
+            offset + rng.uniform(0.0, 1.0, (100_000, 2))).mean()
+        assert abs(share - 0.5) < 0.01
+    square = gl.Polytope2D(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) + 1e8)
+    assert square.contains(np.array([[1e8 + 0.5, 1e8 + 0.5],
+                                     [1e8 + 201.0, 1e8 + 0.5]])).tolist() == [True, False]
+    cube = gl.Polytope3D(np.array(_CUBE_VERTS) + 1e8, _CUBE_FACES)
+    assert not cube.contains(np.array([[1e8 + 1.0 + 1e-5, 1e8 + 0.5, 1e8 + 0.5]]))[0]
+
+
 def _volume_or_refused(build):
     try:
         return build().volume()
@@ -1325,6 +1339,14 @@ def test_ball_volume_out_of_the_float_range_raises_float_range_error():
         gl.Ball([0.0], 1e308).volume()  # the product overflows
     assert gl.Ball(np.zeros(6), 1e50).volume() == pytest.approx(np.pi ** 3 / 6.0 * 1e300,
                                                                  rel=1e-14)
+
+
+def test_box_volume_out_of_the_float_range_raises_float_range_error():
+    with pytest.raises(FloatRangeError, match="float range"):
+        gl.Box(np.zeros(6), 1e100 * np.ones(6)).volume()  # the product overflows
+    with pytest.raises(FloatRangeError, match="float range"):
+        gl.Box([-1e308], [1e308]).volume()  # the edge overflows
+    assert gl.Box(np.zeros(6), 1e50 * np.ones(6)).volume() == pytest.approx(1e300, rel=1e-14)
 
 
 def test_every_fixture_loads():

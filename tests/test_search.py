@@ -158,12 +158,12 @@ def test_tail_ratio_grid_exact_on_random_profiles():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=12),
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
        m=st.integers(3, 30),
        alpha=st.floats(0.0, 5.0), beta=st.floats(0.0, 5.0),
        flatten=st.integers(0, 12))
-def test_stacked_rows_match_single_rows_bitwise(seeds, m, alpha, beta, flatten):
-    ts, hs = search._random_stack(seeds, m)
+def test_stacked_rows_match_single_rows_bitwise(seed, rows, m, alpha, beta, flatten):
+    ts, hs = search._random_stack(np.random.default_rng(seed), rows, m)
     if flatten:  # make one segment of every row nearly flat
         j = flatten % (m - 1)
         hs[:, j + 1] = hs[:, j] * (1.0 + 10.0 ** -flatten)
@@ -214,7 +214,8 @@ def test_sweep_rows_match_per_trial_minimum():
         for j, beta in enumerate(betas):
             row = next(rows)
             bound = gl.functional_bound(alpha, beta).value
-            profs = [gl.random_concave([seed, i, j, k], m) for k in range(trials)]
+            ts, hs = search._random_stack(np.random.default_rng([seed, i, j]), trials, m)
+            profs = [gl.ConcaveProfile(np.column_stack([t, h])) for t, h in zip(ts, hs)]
             exact = [exact_tail_ratio(p.ts, p.hs, int(alpha), int(beta)) - bound for p in profs]
             k = int(np.argmin(exact))
             assert row.argmin_profile_hash == gl.profile_hash(profs[k])
@@ -225,7 +226,7 @@ def test_sweep_rows_match_per_trial_minimum():
 
 
 def test_sweep_rejects_a_stack_the_constructor_rejects():
-    ts, hs = search._random_stack([[1, k] for k in range(5)], 8)
+    ts, hs = search._random_stack(np.random.default_rng(1), 5, 8)
     search._check_concave_rows(ts, hs)
     hs[3, 4] += 0.5  # a slope increase: not concave
     with pytest.raises(ProfileError, match="not concave"):
@@ -282,8 +283,47 @@ def test_random_concave_abscissas_keep_the_rejection_sampler_law(monkeypatch):
                 return np.diff(ts)
 
     old = np.array([rejection() for _ in range(draws)])
-    new = np.array([np.diff(search._draw(np.random.default_rng([77, k]), m, 0.0, 1.0)[0])
-                    for k in range(draws)])
-    assert new.min() >= 0.15 - 1e-12
-    for j in range(m - 1):
-        assert ks_2samp(old[:, j], new[:, j]).pvalue > 1e-3
+    # the rows of one stack, and one-row stacks as random_concave draws them
+    stacked = np.diff(search._random_stack(np.random.default_rng(77), draws, m)[0], axis=1)
+    single = np.array([np.diff(search._random_stack(np.random.default_rng([77, k]), 1, m)[0][0])
+                       for k in range(draws)])
+    for new in (stacked, single):
+        assert new.min() >= 0.15 - 1e-12
+        for j in range(m - 1):
+            assert ks_2samp(old[:, j], new[:, j]).pvalue > 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), m=st.integers(3, 1001),
+       a=st.floats(-10.0, 10.0), length=st.floats(0.01, 100.0),
+       rows=st.integers(2, 8))
+def test_random_concave_is_the_one_row_stack(seed, m, a, length, rows):
+    domain = (a, a + length)
+    ts, hs = search._random_stack(np.random.default_rng(seed), 1, m, domain)
+    prof = gl.random_concave(seed, m, domain)
+    assert np.array_equal(prof.breakpoints, np.column_stack([ts[0], hs[0]]))
+    ts, hs = search._random_stack(np.random.default_rng(seed), rows, m, domain)
+    search._check_concave_rows(ts, hs)
+    b = domain[1]
+    assert np.diff(ts, axis=1).min() >= 1e-3 * (b - a) - 1e-12 * max(abs(a), abs(b))
+
+
+@pytest.mark.parametrize("seed,m,digest", [
+    (7, 12, "c383c731d40e45cc"),
+    ([2024, 1, 0, 3], 16, "fd10a732a463d93d"),
+    (31, 1001, "4d6a995bf0093eb8"),
+])
+def test_random_concave_profiles_are_pinned(seed, m, digest):
+    assert gl.profile_hash(gl.random_concave(seed, m)) == digest
+
+
+def test_sweep_builds_one_generator_per_cell(monkeypatch):
+    seeds, make = [], np.random.default_rng
+
+    def counting(seed=None):
+        seeds.append(seed)
+        return make(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    gl.sweep([1.0, 2.0], [1.0, 3.0], 200, seed=5)
+    assert seeds == [[5, 0, 0], [5, 0, 1], [5, 1, 0], [5, 1, 1]]
