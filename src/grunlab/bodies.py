@@ -224,9 +224,11 @@ class _VertexPolytope:
     def bounding_box(self):
         return self.verts.min(axis=0), self.verts.max(axis=0)
 
+    @cached_property
     def _spread(self):
         """Largest |coordinate| of the vertices less their mean: a length
-        that does not depend on where the body sits."""
+        that does not depend on where the body sits. Taken once, as the
+        vertices are read-only."""
         return float(np.abs(self.verts - self.verts.mean(axis=0)).max())
 
     def volume(self):
@@ -295,7 +297,7 @@ class Polytope2D(_VertexPolytope):
 
     def contains(self, pts):
         inside = np.ones(pts.shape[0], dtype=bool)
-        scale = self._spread()
+        scale = self._spread
         for p, q in zip(self.verts, np.roll(self.verts, -1, axis=0)):
             e = q - p
             cross = e[0] * (pts[:, 1] - p[1]) - e[1] * (pts[:, 0] - p[0])
@@ -327,7 +329,7 @@ class Polytope3D(_VertexPolytope):
         self._interior = v.mean(axis=0)
         w = v - self._interior  # tested about the mean, wherever the body sits
         normals, offsets = [], []
-        scale = float(np.abs(w).max())
+        scale = self._spread
         for f in self.faces:
             n = self._newell_normal(w[list(f)])
             if np.linalg.norm(n) <= _GEOM_TOL * scale * scale:
@@ -350,9 +352,9 @@ class Polytope3D(_VertexPolytope):
         return n
 
     def contains(self, pts):
-        scale = self._spread()
         x = np.ascontiguousarray(pts.T)  # C order, as in Simplex.contains
-        return np.all(self._normals @ x <= (self._offsets + 1e-12 * scale)[:, None], axis=0)
+        tol = self._offsets + 1e-12 * self._spread
+        return np.all(self._normals @ x <= tol[:, None], axis=0)
 
     def _simplices(self):
         """Tetrahedral fan: the vertex mean (index len(verts), appended) joined
@@ -771,6 +773,10 @@ class McSpec:
 # Fixed substream granularity: chunk i always draws the same points for a given
 # seed, so totals do not depend on how chunks are distributed across workers.
 _MC_CHUNK = 1 << 16
+# Doubles per tile of a chunk: each (d, rows) temporary is at most 128 KiB, so
+# the allocator reuses its pages from tile to tile instead of faulting in fresh
+# megabytes per chunk.
+_MC_TILE = 1 << 14
 
 
 def mc_chunks(body, mc):
@@ -778,13 +784,26 @@ def mc_chunks(body, mc):
 
     Substreams are counter-derived from the seed (one Philox jump per fixed-
     size chunk); accumulation over them is order-independent. Chunk i maps
-    its uniform block U of shape (m, d) to lo + U (hi - lo), held
-    coordinate-major as one C-ordered (d, m) array, so that the membership
-    test and the compaction run over contiguous rows. The points yielded are
-    a (k, d) view of the k inside ones.
+    its uniform block U of shape (m, d) to lo + U (hi - lo), one tile of
+    rows = _MC_TILE // d points at a time: each tile's uniforms are drawn
+    into one kept (rows, d) buffer and mapped into one kept coordinate-major
+    (d, rows) buffer, so the membership test and the compaction run over
+    contiguous rows. Philox is counter-based and the tiles draw in turn, so
+    together they hold the block's doubles in its row-major order: the points
+    are those of one (m, d) draw bit for bit. The points yielded are a (k, d)
+    view of the k inside ones, the tiles' inside points joined once.
     """
     lo, hi = body.bounding_box()
-    lo, span = lo[:, None], (hi - lo)[:, None]
+    d = lo.size
+    with np.errstate(over="ignore"):  # an overflow to inf is raised below
+        span = hi - lo
+    if not np.all(span < math.inf):
+        raise FloatRangeError(f"bounding box of a {body.variant} in R^{d} has an edge "
+                              f"beyond the float range; it cannot be sampled")
+    lo, span = lo[:, None], span[:, None]
+    rows = max(1, _MC_TILE // d)
+    u_buf = np.empty((rows, d))
+    x_buf = np.empty(d * rows)  # flat, so a short tile is a C-ordered (d, t) view too
     n_chunks = (mc.samples + _MC_CHUNK - 1) // _MC_CHUNK
     remaining = mc.samples
     base = np.random.Philox(key=mc.seed)
@@ -792,9 +811,14 @@ def mc_chunks(body, mc):
         m = min(_MC_CHUNK, remaining)
         remaining -= m
         rng = np.random.Generator(base.jumped(i))
-        x = np.multiply(rng.random((m, lo.size)).T, span, order="C")
-        x += lo
-        yield np.compress(body.contains(x.T), x, axis=1).T, m
+        parts = []
+        for start in range(0, m, rows):
+            t = min(rows, m - start)
+            u = rng.random(out=u_buf[:t])
+            x = np.multiply(u.T, span, out=x_buf[:d * t].reshape(d, t))
+            x += lo
+            parts.append(np.compress(body.contains(x.T), x, axis=1))
+        yield np.concatenate(parts, axis=1).T, m
 
 
 # The last pass's projections: (body, (u bytes, seed, samples), proj, total).
@@ -818,6 +842,8 @@ def _mc_projections(body, u, mc):
         parts.append(pts @ u)
         total += m
     proj = np.concatenate(parts)
+    if proj.size == 0:
+        raise DegenerateBodyError("no Monte Carlo samples landed inside the body")
     proj.setflags(write=False)
     _MC_LAST = (body, key, proj, total)
     return proj, total
@@ -902,8 +928,7 @@ def mc_section_profile(body, u, mc):
     """Binned rejection-sampling estimate of the section profile with sigma."""
     u = _unit(u, body.dim)
     a, b = body.support_interval(u)
-    lo, hi = body.bounding_box()
-    box_vol = float(np.prod(hi - lo))
+    box_vol = Box(*body.bounding_box()).volume()  # FloatRangeError before drawing
     edges = np.linspace(a, b, mc.bins + 1)
     width = edges[1] - edges[0]
     proj, total = _mc_projections(body, u, mc)
@@ -938,8 +963,6 @@ def mc_halfspace_fraction(body, u, c, mc):
     c = _clamped_cut(body, u, c)[2]
     proj = _mc_projections(body, u, mc)[0]
     inside = proj.size
-    if inside == 0:
-        raise DegenerateBodyError("no Monte Carlo samples landed inside the body")
     p = int(np.count_nonzero(proj <= c)) / inside
     sigma = math.sqrt(max(p * (1.0 - p), 0.0) / inside)
     return McEstimate(value=p, sigma=sigma, meta=mc.meta())

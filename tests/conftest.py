@@ -226,15 +226,20 @@ def row_major_contains(body, pts):
     raise TypeError(f"no row-major formula for {type(body).__name__}")
 
 
-def reference_mc_chunks(body, mc):
-    """(inside points, chunk size) per substream, drawn and tested row-major:
-    chunk i draws lo + U (hi - lo) from Philox(key=seed).jumped(i)."""
+def reference_mc_blocks(body, mc):
+    """The (m, d) block of candidate points per substream, drawn row-major
+    in one call: chunk i draws lo + U (hi - lo) from Philox(key=seed).jumped(i)."""
     lo, hi = body.bounding_box()
     base = np.random.Philox(key=mc.seed)
     for i, start in enumerate(range(0, mc.samples, REFERENCE_MC_CHUNK)):
         m = min(REFERENCE_MC_CHUNK, mc.samples - start)
-        pts = lo + np.random.Generator(base.jumped(i)).random((m, lo.size)) * (hi - lo)
-        yield pts[row_major_contains(body, pts)], m
+        yield lo + np.random.Generator(base.jumped(i)).random((m, lo.size)) * (hi - lo)
+
+
+def reference_mc_chunks(body, mc):
+    """(inside points, chunk size) per substream, drawn and tested row-major."""
+    for pts in reference_mc_blocks(body, mc):
+        yield pts[row_major_contains(body, pts)], pts.shape[0]
 
 
 def reference_mc_estimates(body, u, cut, mc, chunks):

@@ -6,6 +6,7 @@ import json
 import math
 import pkgutil
 import time
+import tracemalloc
 import warnings
 from importlib import resources
 
@@ -34,6 +35,7 @@ from conftest import (
     load_fixture,
     random_convex_polygon,
     random_polytope3d,
+    reference_mc_blocks,
     reference_mc_chunks,
     reference_mc_estimates,
     rotation_matrix_3d,
@@ -641,6 +643,106 @@ def test_mc_equals_row_major_reference(name, body, u, seed):
     assert np.array_equal(sp.sigma, sigma)
     est = gl.mc_halfspace_fraction(body, u, cut, mc)
     assert (est.value, est.sigma) == (frac, frac_sigma)
+
+
+MC_TILE_CASES = {  # a tile of 2^14 // d points: 4,096, 3,276, 2,730 and 5,461
+    "simplex4": lambda rng: gl.Simplex(rng.normal(size=(5, 4))),
+    "box5": lambda rng: gl.Box(-rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)),
+    "ball6": lambda rng: gl.Ball(rng.normal(size=6), rng.uniform(0.5, 2.0)),
+    "cone3": lambda rng: gl.body_from_json(load_fixture("cone3.json")),
+}
+
+
+@pytest.mark.parametrize("name", MC_TILE_CASES)
+def test_mc_tiles_equal_row_major_reference(name):
+    """65,536 + 4,097 samples: the partial last substream ends in a partial
+    tile (of 1 point in R^4). Each tile's mask is the row-major mask of its
+    rows, and the points and estimates are the row-major ones, bit for bit."""
+    from grunlab.bodies import _MC_TILE, mc_chunks
+
+    rng = np.random.default_rng(31)
+    body = MC_TILE_CASES[name](rng)
+    u = E1_3 if name == "cone3" else _rand_unit(rng, body.dim)
+    mc = gl.McSpec(seed=2 ** 40 + 7, samples=65_536 + 4_097, bins=64)
+    masks, contains = [], body.contains
+
+    def recorded(pts):
+        masks.append(contains(pts))
+        return masks[-1]
+
+    body.contains = recorded
+    chunks = list(mc_chunks(body, mc))
+    del body.contains
+    rows = _MC_TILE // body.dim
+    tiles = [min(rows, m - start) for m in (65_536, 4_097) for start in range(0, m, rows)]
+    assert [mask.size for mask in masks] == tiles and tiles[-1] == 4_097 % rows
+    blocks = list(reference_mc_blocks(body, mc))
+    assert np.array_equal(np.concatenate(masks),
+                          np.concatenate([row_major_contains(body, pts) for pts in blocks]))
+    reference = list(reference_mc_chunks(body, mc))
+    assert [m for _, m in chunks] == [m for _, m in reference] == [65_536, 4_097]
+    for (pts, _), (want, _) in zip(chunks, reference):
+        assert pts.shape == want.shape and np.array_equal(pts, want)
+    a, b = body.support_interval(u)
+    cut = a + 0.4 * (b - a)
+    values, sigma, frac, frac_sigma = reference_mc_estimates(body, u, cut, mc, reference)
+    sp = gl.mc_section_profile(body, u, mc)
+    assert np.array_equal(sp.profile.values, values) and np.array_equal(sp.sigma, sigma)
+    est = gl.mc_halfspace_fraction(body, u, cut, mc)
+    assert (est.value, est.sigma) == (frac, frac_sigma)
+
+
+@pytest.mark.parametrize("body", [gl.Ball(np.zeros(6), 1.0),
+                                  gl.Simplex(np.vstack([np.zeros(6), np.eye(6)]))],
+                         ids=["ball6", "simplex6"])
+def test_mc_pass_holds_no_uniform_block(monkeypatch, body):
+    """One 2^16-sample pass in R^6 allocates, at its traced peak, less than
+    one substream's (65,536, 6) block of uniforms (3 MiB): it draws and
+    tests in tiles."""
+    from grunlab import bodies
+
+    monkeypatch.setattr(bodies, "_MC_LAST", None)
+    u = bodies._unit(np.arange(1.0, 7.0), 6)
+    mc = gl.McSpec(seed=5, samples=1 << 16)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        proj, total = bodies._mc_projections(body, u, mc)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert total == 1 << 16 and proj.size > 0
+    assert peak < (1 << 16) * 6 * 8
+
+
+def test_sampled_routes_outside_the_float_range_raise_float_range_error():
+    """The sampling box's edges and volume are checked before drawing; the
+    fraction below a cut needs no volume, so a box whose volume alone
+    overflows still gives one."""
+    mc = gl.McSpec(1, 10_000)
+    with pytest.raises(FloatRangeError, match="float range"):  # the volume overflows
+        gl.r_centroid_point(gl.Box(np.zeros(3), 1e200 * np.ones(3)), E1_3, 1.0, mc=mc)
+    with pytest.raises(FloatRangeError, match="float range"):  # an edge overflows
+        gl.mc_halfspace_fraction(gl.Box(-1e308 * np.ones(3), 1e308 * np.ones(3)), E1_3, 0.0, mc)
+    with pytest.raises(FloatRangeError, match="float range"):  # the volume overflows
+        gl.mc_section_profile(gl.Ball(np.zeros(3), 1e300), E1_3, mc)
+    est = gl.mc_halfspace_fraction(gl.Box(np.zeros(3), 1e200 * np.ones(3)), E1_3, 5e199, mc)
+    assert abs(est.value - 0.5) <= 4.0 * est.sigma
+
+
+def test_no_sample_inside_raises_one_error_on_every_sampled_route():
+    sliver = gl.Simplex([[0, 0, 0], [1, 1, 1], [1, 1.001, 1], [1, 1, 1.001]])
+    mc = gl.McSpec(1, 10_000)
+    for call in (lambda: gl.mc_halfspace_fraction(sliver, E1_3, 0.5, mc),
+                 lambda: gl.r_centroid_point(sliver, E1_3, 1.0, mc=mc),
+                 lambda: gl.verify_grunbaum_r(sliver, E1_3, 0.5, 1.0, mc=mc),
+                 lambda: gl.mc_section_profile(sliver, E1_3, mc)):
+        with pytest.raises(DegenerateBodyError, match="no Monte Carlo samples"):
+            call()
 
 
 def _counted_passes(monkeypatch):
