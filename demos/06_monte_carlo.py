@@ -1,10 +1,12 @@
 """Seeded Monte Carlo: binned section profiles and halfspace counting.
 
-Rejection sampling in the bounding box with counter-derived substreams:
-a fixed seed reproduces every number exactly, regardless of how the sample
-budget would be split across workers. Each chunk of points is held
-coordinate-major, one contiguous row per coordinate, while it is tested and
-binned; that layout changes no point and no seeded value.
+Rejection sampling in the bounding box with one PCG64DXSM substream per
+fixed-size chunk, seeded by SeedSequence(seed, spawn_key=(chunk,)): a fixed
+seed reproduces every number exactly, regardless of how the sample budget
+would be split across workers. Each tile of points is held coordinate-major,
+one contiguous row per coordinate, while it is tested and projected, and
+each projection is summed coordinate by coordinate in a fixed order; so
+neither the layout nor the tile size changes a seeded value.
 """
 
 import json

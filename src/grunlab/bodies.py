@@ -779,19 +779,22 @@ _MC_CHUNK = 1 << 16
 _MC_TILE = 1 << 14
 
 
-def mc_chunks(body, mc):
-    """Yield (points inside the body, chunk sample count) per substream.
+def mc_chunks(body, mc, u):
+    """Yield (<x, u> of the inside points, chunk sample count) per substream.
 
-    Substreams are counter-derived from the seed (one Philox jump per fixed-
-    size chunk); accumulation over them is order-independent. Chunk i maps
-    its uniform block U of shape (m, d) to lo + U (hi - lo), one tile of
-    rows = _MC_TILE // d points at a time: each tile's uniforms are drawn
-    into one kept (rows, d) buffer and mapped into one kept coordinate-major
-    (d, rows) buffer, so the membership test and the compaction run over
-    contiguous rows. Philox is counter-based and the tiles draw in turn, so
-    together they hold the block's doubles in its row-major order: the points
-    are those of one (m, d) draw bit for bit. The points yielded are a (k, d)
-    view of the k inside ones, the tiles' inside points joined once.
+    Chunk i draws from its own PCG64DXSM generator, seeded by
+    SeedSequence(seed, spawn_key=(i,)), so its points depend on the seed and
+    i alone and accumulation over chunks is order-independent. It maps its
+    uniform block U of shape (m, d) to lo + U (hi - lo), one tile of
+    rows = _MC_TILE // d points at a time: each tile's uniforms are drawn into
+    one kept (rows, d) buffer and mapped into one kept coordinate-major
+    (d, rows) buffer. The generator is sequential and the tiles draw in turn,
+    so together they hold the block's doubles in its row-major order. On each
+    tile the membership test runs over contiguous rows, and <x, u> is the
+    coordinate-ordered sum x_0 u_0 + x_1 u_1 + ... (each product rounded, then
+    added in turn), so a point's value does not depend on the tile it sits
+    in. Only the inside points' projections are kept, compacted once into the
+    chunk's array.
     """
     lo, hi = body.bounding_box()
     d = lo.size
@@ -800,25 +803,32 @@ def mc_chunks(body, mc):
     if not np.all(span < math.inf):
         raise FloatRangeError(f"bounding box of a {body.variant} in R^{d} has an edge "
                               f"beyond the float range; it cannot be sampled")
-    lo, span = lo[:, None], span[:, None]
+    lo, span, u = lo[:, None], span[:, None], np.asarray(u, dtype=float)[:, None]
     rows = max(1, _MC_TILE // d)
-    u_buf = np.empty((rows, d))
+    w_buf = np.empty((rows, d))
     x_buf = np.empty(d * rows)  # flat, so a short tile is a C-ordered (d, t) view too
     n_chunks = (mc.samples + _MC_CHUNK - 1) // _MC_CHUNK
     remaining = mc.samples
-    base = np.random.Philox(key=mc.seed)
     for i in range(n_chunks):
         m = min(_MC_CHUNK, remaining)
         remaining -= m
-        rng = np.random.Generator(base.jumped(i))
-        parts = []
+        rng = np.random.Generator(np.random.PCG64DXSM(
+            np.random.SeedSequence(mc.seed, spawn_key=(i,))))
+        out, k = np.empty(m), 0
         for start in range(0, m, rows):
             t = min(rows, m - start)
-            u = rng.random(out=u_buf[:t])
-            x = np.multiply(u.T, span, out=x_buf[:d * t].reshape(d, t))
+            w = rng.random(out=w_buf[:t])
+            x = np.multiply(w.T, span, out=x_buf[:d * t].reshape(d, t))
             x += lo
-            parts.append(np.compress(body.contains(x.T), x, axis=1))
-        yield np.concatenate(parts, axis=1).T, m
+            inside = body.contains(x.T)
+            x *= u
+            proj = x[0]
+            for row in x[1:]:
+                proj += row
+            n = int(np.count_nonzero(inside))
+            np.compress(inside, proj, out=out[k:k + n])
+            k += n
+        yield out[:k], m
 
 
 # The last pass's projections: (body, (u bytes, seed, samples), proj, total).
@@ -831,6 +841,7 @@ def _mc_projections(body, u, mc):
 
     The binned profile and the count below a cut along the same u read one
     pass: the last result is kept, and the bin count does not enter the draw.
+    The chunks' projections, each compacted once by mc_chunks, are joined.
     """
     global _MC_LAST
     key = (u.tobytes(), mc.seed, mc.samples)
@@ -838,8 +849,8 @@ def _mc_projections(body, u, mc):
     if last is not None and last[0] is body and last[1] == key:
         return last[2], last[3]
     parts, total = [], 0
-    for pts, m in mc_chunks(body, mc):
-        parts.append(pts @ u)
+    for proj, m in mc_chunks(body, mc, u):
+        parts.append(proj)
         total += m
     proj = np.concatenate(parts)
     if proj.size == 0:
@@ -924,20 +935,41 @@ def section_profile(body, u, mc=None):
     return SectionProfile(_unit(u), exact, "exact")
 
 
-def mc_section_profile(body, u, mc):
-    """Binned rejection-sampling estimate of the section profile with sigma."""
-    u = _unit(u, body.dim)
+def _mc_shares(body, u, mc):
+    """(edges, share of the samples drawn per bin, its sigma) along a unit u:
+    the binned profile up to the factor vol(bounding box) / bin width."""
     a, b = body.support_interval(u)
-    box_vol = Box(*body.bounding_box()).volume()  # FloatRangeError before drawing
     edges = np.linspace(a, b, mc.bins + 1)
     width = edges[1] - edges[0]
     proj, total = _mc_projections(body, u, mc)
     idx = np.clip(((proj - a) / width).astype(int), 0, mc.bins - 1)
     p = np.bincount(idx, minlength=mc.bins) / total
-    values = box_vol * p / width
-    sigma = box_vol * np.sqrt(np.maximum(p * (1.0 - p), 0.0) / total) / width
-    return SectionProfile(u, HistogramProfile(edges, values), "mc",
-                          sigma=sigma, meta=mc.meta())
+    return edges, p, np.sqrt(np.maximum(p * (1.0 - p), 0.0) / total)
+
+
+def mc_section_profile(body, u, mc):
+    """Binned rejection-sampling estimate of the section profile with sigma."""
+    u = _unit(u, body.dim)
+    box_vol = Box(*body.bounding_box()).volume()  # FloatRangeError before drawing
+    if box_vol < np.finfo(float).tiny:
+        raise FloatRangeError(f"bounding box of a {body.variant} in R^{body.dim} has volume "
+                              f"{box_vol:.3g}, below the float range; its binned profile "
+                              f"cannot be scaled")
+    edges, p, sigma = _mc_shares(body, u, mc)
+    width = edges[1] - edges[0]
+    return SectionProfile(u, HistogramProfile(edges, box_vol * p / width), "mc",
+                          sigma=box_vol * sigma / width, meta=mc.meta())
+
+
+def _ratio_profile(body, u, mc):
+    """The section profile up to a constant factor, which no centroid or
+    ratio reads: sampled, each bin's share of the samples, so no volume is
+    needed and none can leave the float range."""
+    if mc is None:
+        return section_profile(body, u)
+    u = _unit(u, body.dim)
+    edges, p, sigma = _mc_shares(body, u, mc)
+    return SectionProfile(u, HistogramProfile(edges, p), "mc", sigma=sigma, meta=mc.meta())
 
 
 @dataclass(frozen=True)
@@ -979,7 +1011,7 @@ def r_centroid_point(body, u, r, mc=None):
     a, b = body.support_interval(u)
     if r == 0.0:
         return 0.5 * (a + b)
-    lam = alpha_centroid(section_profile(body, u, mc=mc).profile, r)
+    lam = alpha_centroid(_ratio_profile(body, u, mc).profile, r)
     return float(min(max(lam, a), b))
 
 
@@ -1037,7 +1069,7 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     raises PreconditionError naming the witness.
     """
     bound = grunbaum_r_bound(p, r)
-    sp = section_profile(body, u, mc=mc)
+    sp = _ratio_profile(body, u, mc)
     if sp.kind == "exact":
         _certify_p_concave(sp.profile, p, "section profile")
     else:

@@ -197,7 +197,7 @@ def exact_section_integrals(sections, e, lo=None, hi=None):
 # reference rejection sampler, row-major: one point per row
 # ---------------------------------------------------------------------------
 
-REFERENCE_MC_CHUNK = 1 << 16  # points per Philox substream
+REFERENCE_MC_CHUNK = 1 << 16  # points per PCG64DXSM substream
 
 
 def row_major_contains(body, pts):
@@ -228,18 +228,28 @@ def row_major_contains(body, pts):
 
 def reference_mc_blocks(body, mc):
     """The (m, d) block of candidate points per substream, drawn row-major
-    in one call: chunk i draws lo + U (hi - lo) from Philox(key=seed).jumped(i)."""
+    in one call: chunk i draws lo + U (hi - lo) from a PCG64DXSM generator
+    seeded by SeedSequence(seed, spawn_key=(i,))."""
     lo, hi = body.bounding_box()
-    base = np.random.Philox(key=mc.seed)
     for i, start in enumerate(range(0, mc.samples, REFERENCE_MC_CHUNK)):
         m = min(REFERENCE_MC_CHUNK, mc.samples - start)
-        yield lo + np.random.Generator(base.jumped(i)).random((m, lo.size)) * (hi - lo)
+        seq = np.random.SeedSequence(mc.seed, spawn_key=(i,))
+        yield lo + np.random.Generator(np.random.PCG64DXSM(seq)).random((m, lo.size)) * (hi - lo)
 
 
 def reference_mc_chunks(body, mc):
     """(inside points, chunk size) per substream, drawn and tested row-major."""
     for pts in reference_mc_blocks(body, mc):
         yield pts[row_major_contains(body, pts)], pts.shape[0]
+
+
+def reference_projections(pts, u):
+    """<x, u> of each row as the coordinate-ordered sum x_0 u_0 + x_1 u_1 + ...,
+    each product rounded and then added in turn."""
+    proj = pts[:, 0] * u[0]
+    for j in range(1, pts.shape[1]):
+        proj += pts[:, j] * u[j]
+    return proj
 
 
 def reference_mc_estimates(body, u, cut, mc, chunks):
@@ -253,7 +263,7 @@ def reference_mc_estimates(body, u, cut, mc, chunks):
     width = np.linspace(a, b, mc.bins + 1)[1] - a
     counts, total, inside, below = np.zeros(mc.bins), 0, 0, 0
     for pts, m in chunks:
-        proj = pts @ u
+        proj = reference_projections(pts, u)
         idx = np.clip(((proj - a) / width).astype(int), 0, mc.bins - 1)
         counts += np.bincount(idx, minlength=mc.bins)
         total += m

@@ -38,6 +38,7 @@ from conftest import (
     reference_mc_blocks,
     reference_mc_chunks,
     reference_mc_estimates,
+    reference_projections,
     rotation_matrix_3d,
     row_major_contains,
 )
@@ -551,8 +552,8 @@ def test_mc_determinism_and_chunk_order_independence():
     assert a.value == b.value
     # substreams are seed+index derived: accumulating them in any order
     # (e.g. distributed over workers) gives the same totals
-    forward = [pts.shape[0] for pts, _ in mc_chunks(ball, spec)]
-    again = [pts.shape[0] for pts, _ in mc_chunks(ball, spec)]
+    forward = [proj.shape[0] for proj, _ in mc_chunks(ball, spec, E1_3)]
+    again = [proj.shape[0] for proj, _ in mc_chunks(ball, spec, E1_3)]
     assert forward == again
     assert sum(forward) == sum(reversed(again))
 
@@ -623,18 +624,20 @@ MC_REFERENCE_CASES = _mc_reference_cases()
 @pytest.mark.parametrize("name,body,u", MC_REFERENCE_CASES,
                          ids=[c[0] for c in MC_REFERENCE_CASES])
 def test_mc_equals_row_major_reference(name, body, u, seed):
-    """Coordinate-major chunks hold the same points, accept the same ones and
-    give the same estimates, bit for bit, as row-major rejection sampling.
-    150,000 samples are three substreams, the last one partial."""
+    """Coordinate-major chunks accept the same points, project them to the
+    same values and give the same estimates, bit for bit, as row-major
+    rejection sampling. 150,000 samples are three substreams, the last one
+    partial."""
     from grunlab.bodies import mc_chunks
 
     mc = gl.McSpec(seed=seed, samples=150_000, bins=64)
-    chunks = list(mc_chunks(body, mc))
+    unit = u / np.linalg.norm(u)
+    chunks = list(mc_chunks(body, mc, unit))
     reference = list(reference_mc_chunks(body, mc))
     assert [m for _, m in chunks] == [m for _, m in reference] == [65_536, 65_536, 18_928]
-    for (pts, _), (want, _) in zip(chunks, reference):
-        assert pts.shape == want.shape == (want.shape[0], body.dim)
-        assert np.array_equal(pts, want)
+    for (proj, _), (want, _) in zip(chunks, reference):
+        assert proj.shape == (want.shape[0],)
+        assert np.array_equal(proj, reference_projections(want, unit))
     a, b = body.support_interval(u)
     cut = a + 0.4 * (b - a)
     values, sigma, frac, frac_sigma = reference_mc_estimates(body, u, cut, mc, reference)
@@ -645,11 +648,12 @@ def test_mc_equals_row_major_reference(name, body, u, seed):
     assert (est.value, est.sigma) == (frac, frac_sigma)
 
 
-MC_TILE_CASES = {  # a tile of 2^14 // d points: 4,096, 3,276, 2,730 and 5,461
+MC_TILE_CASES = {  # a tile of 2^14 // d points: 4,096, 3,276, 2,730, 5,461 and 2,340
     "simplex4": lambda rng: gl.Simplex(rng.normal(size=(5, 4))),
     "box5": lambda rng: gl.Box(-rng.uniform(0.5, 2.0, 5), rng.uniform(0.5, 2.0, 5)),
     "ball6": lambda rng: gl.Ball(rng.normal(size=6), rng.uniform(0.5, 2.0)),
     "cone3": lambda rng: gl.body_from_json(load_fixture("cone3.json")),
+    "box7": lambda rng: gl.Box(-rng.uniform(0.5, 2.0, 7), rng.uniform(0.5, 2.0, 7)),
 }
 
 
@@ -657,7 +661,8 @@ MC_TILE_CASES = {  # a tile of 2^14 // d points: 4,096, 3,276, 2,730 and 5,461
 def test_mc_tiles_equal_row_major_reference(name):
     """65,536 + 4,097 samples: the partial last substream ends in a partial
     tile (of 1 point in R^4). Each tile's mask is the row-major mask of its
-    rows, and the points and estimates are the row-major ones, bit for bit."""
+    rows, and the projections and estimates are the row-major ones, bit for
+    bit."""
     from grunlab.bodies import _MC_TILE, mc_chunks
 
     rng = np.random.default_rng(31)
@@ -671,7 +676,8 @@ def test_mc_tiles_equal_row_major_reference(name):
         return masks[-1]
 
     body.contains = recorded
-    chunks = list(mc_chunks(body, mc))
+    unit = u / np.linalg.norm(u)
+    chunks = list(mc_chunks(body, mc, unit))
     del body.contains
     rows = _MC_TILE // body.dim
     tiles = [min(rows, m - start) for m in (65_536, 4_097) for start in range(0, m, rows)]
@@ -681,8 +687,8 @@ def test_mc_tiles_equal_row_major_reference(name):
                           np.concatenate([row_major_contains(body, pts) for pts in blocks]))
     reference = list(reference_mc_chunks(body, mc))
     assert [m for _, m in chunks] == [m for _, m in reference] == [65_536, 4_097]
-    for (pts, _), (want, _) in zip(chunks, reference):
-        assert pts.shape == want.shape and np.array_equal(pts, want)
+    for (proj, _), (want, _) in zip(chunks, reference):
+        assert np.array_equal(proj, reference_projections(want, unit))
     a, b = body.support_interval(u)
     cut = a + 0.4 * (b - a)
     values, sigma, frac, frac_sigma = reference_mc_estimates(body, u, cut, mc, reference)
@@ -690,6 +696,101 @@ def test_mc_tiles_equal_row_major_reference(name):
     assert np.array_equal(sp.profile.values, values) and np.array_equal(sp.sigma, sigma)
     est = gl.mc_halfspace_fraction(body, u, cut, mc)
     assert (est.value, est.sigma) == (frac, frac_sigma)
+
+
+@pytest.mark.parametrize("tile", [1 << 10, 3 << 12])
+@pytest.mark.parametrize("name", MC_TILE_CASES)
+def test_mc_values_do_not_depend_on_the_tile_size(monkeypatch, name, tile):
+    """<x, u> is summed coordinate by coordinate in a fixed order, so tiles of
+    another size give the same projections, binned values and fractions, bit
+    for bit. A BLAS product's rounding can depend on the width and offset of
+    the tile, so it could not stand in for the sum."""
+    from grunlab import bodies
+
+    rng = np.random.default_rng(37)
+    body = MC_TILE_CASES[name](rng)
+    u = E1_3 if name == "cone3" else _rand_unit(rng, body.dim)
+    mc = gl.McSpec(seed=41, samples=65_536 + 4_097, bins=64)
+    a, b = body.support_interval(u)
+    cut = a + 0.4 * (b - a)
+
+    def estimates():
+        proj, total = _fresh(monkeypatch, bodies._mc_projections, body, bodies._unit(u), mc)
+        sp = gl.mc_section_profile(body, u, mc)
+        est = gl.mc_halfspace_fraction(body, u, cut, mc)
+        return proj, total, sp.profile.values, sp.sigma, est.value, est.sigma
+
+    want = estimates()
+    monkeypatch.setattr(bodies, "_MC_TILE", tile)
+    got = estimates()
+    assert all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_each_chunk_is_drawn_from_its_own_substream():
+    """Chunk i is what the generator of SeedSequence(seed, spawn_key=(i,))
+    through PCG64DXSM draws alone: it does not depend on the chunks before it
+    or on the sample budget, and a shorter last chunk keeps a prefix of it."""
+    from grunlab.bodies import _unit, mc_chunks
+
+    body, u, seed = gl.Ball([0.2, -0.1, 0.4], 1.3), _unit(MC_U3), 2 ** 90 + 5
+    lo, hi = body.bounding_box()
+    three = [proj for proj, _ in mc_chunks(body, gl.McSpec(seed, 3 * 65_536), u)]
+    for i in (2, 0, 1):
+        seq = np.random.SeedSequence(seed, spawn_key=(i,))
+        pts = lo + np.random.Generator(np.random.PCG64DXSM(seq)).random((65_536, 3)) * (hi - lo)
+        assert np.array_equal(three[i], reference_projections(pts[row_major_contains(body, pts)], u))
+    (alone, m), = mc_chunks(body, gl.McSpec(seed, 65_536), u)
+    assert m == 65_536 and np.array_equal(alone, three[0])
+    short = list(mc_chunks(body, gl.McSpec(seed, 2 * 65_536 + 10_000), u))
+    assert [m for _, m in short] == [65_536, 65_536, 10_000]
+    assert np.array_equal(short[1][0], three[1])
+    k = short[2][0].size
+    assert 0 < k < three[2].size and np.array_equal(short[2][0], three[2][:k])
+
+
+def test_seeds_at_the_ends_of_the_range_sample_end_to_end(cone3):
+    """Both ends of McSpec's seed range [0, 2^128), which is unchanged, seed
+    their own substreams and give estimates of the exact cone values."""
+    for bad in (-1, 2 ** 128):
+        with pytest.raises(ParameterError, match=r"seed must lie in \[0, 2\^128\)"):
+            gl.McSpec(seed=bad)
+    fractions = set()
+    for seed in (0, 2 ** 128 - 1):
+        mc = gl.McSpec(seed=seed, samples=150_000, bins=64)
+        est = gl.mc_halfspace_fraction(cone3, E1_3, 0.25, mc)
+        assert abs(est.value - 37.0 / 64.0) <= 4.0 * est.sigma
+        assert gl.r_centroid_point(cone3, E1_3, 1.0, mc=mc) == pytest.approx(0.25, abs=0.01)
+        rep = gl.verify_grunbaum_r(cone3, E1_3, 0.5, 1.0, mc=mc)
+        assert rep.passed and rep.provenance["seed"] == seed
+        fractions.add(est.value)
+    assert len(fractions) == 2
+
+
+def test_ratio_routes_sample_a_box_whose_volume_underflows():
+    """Centroids and the sampled concavity test do not read the profile's
+    scale, so the ratio routes bin each sample's share and need no volume.
+    A cube of side 1e-110 (volume 1e-330, which is 0 in floats) gets the
+    exact route's centroid and a verdict; a dyadic rescaling of the unit cube
+    moves the sampled centroid and cut by exactly the scale. The binned
+    profile, scaled by the volume, refuses."""
+    mc = gl.McSpec(1, 10_000)
+    unit_cube = gl.Box(np.zeros(3), np.ones(3))
+    tiny = gl.Box(np.zeros(3), 1e-110 * np.ones(3))
+    lam = gl.r_centroid_point(tiny, E1_3, 1.0, mc=mc)
+    assert abs(lam - gl.r_centroid_point(tiny, E1_3, 1.0)) <= 0.02e-110  # exact: 5e-111
+    lam = gl.r_centroid_point(tiny, MC_U3, 1.0, mc=mc)
+    assert lam == pytest.approx(1e-110 * gl.r_centroid_point(unit_cube, MC_U3, 1.0, mc=mc),
+                                rel=1e-12)
+    assert gl.verify_grunbaum_r(tiny, MC_U3, 0.5, 1.0, mc=mc).passed
+    with pytest.raises(FloatRangeError, match="below the float range"):
+        gl.mc_section_profile(tiny, MC_U3, mc)
+    scale = 2.0 ** -366  # the volume 2^-1098 underflows to 0 too
+    small = gl.Box(np.zeros(3), scale * np.ones(3))
+    want = gl.verify_grunbaum_r(unit_cube, MC_U3, 0.5, 1.0, mc=mc)
+    got = gl.verify_grunbaum_r(small, MC_U3, 0.5, 1.0, mc=mc)
+    assert got.details["cut"] == scale * want.details["cut"]
+    assert (got.ratio, got.provenance["sigma"]) == (want.ratio, want.provenance["sigma"])
+    assert gl.r_centroid_point(small, MC_U3, 1.0, mc=mc) == scale * want.details["cut"]
 
 
 @pytest.mark.parametrize("body", [gl.Ball(np.zeros(6), 1.0),
@@ -724,7 +825,7 @@ def test_sampled_routes_outside_the_float_range_raise_float_range_error():
     fraction below a cut needs no volume, so a box whose volume alone
     overflows still gives one."""
     mc = gl.McSpec(1, 10_000)
-    with pytest.raises(FloatRangeError, match="float range"):  # the volume overflows
+    with pytest.raises(FloatRangeError, match="float range"):  # the moment about 0 overflows
         gl.r_centroid_point(gl.Box(np.zeros(3), 1e200 * np.ones(3)), E1_3, 1.0, mc=mc)
     with pytest.raises(FloatRangeError, match="float range"):  # an edge overflows
         gl.mc_halfspace_fraction(gl.Box(-1e308 * np.ones(3), 1e308 * np.ones(3)), E1_3, 0.0, mc)
@@ -752,9 +853,9 @@ def _counted_passes(monkeypatch):
     passes = []
     real = bodies.mc_chunks
 
-    def counted(body, mc):
+    def counted(body, mc, u):
         passes.append((body, mc))
-        return real(body, mc)
+        return real(body, mc, u)
 
     monkeypatch.setattr(bodies, "mc_chunks", counted)
     monkeypatch.setattr(bodies, "_MC_LAST", None)
@@ -853,7 +954,7 @@ def test_projection_memo_holds_one_read_only_entry():
     assert gone() is None  # the older entry is not kept
     assert bodies._MC_LAST[0] is second and bodies._MC_LAST[2] is proj
     assert total == mc.samples
-    assert proj.shape == (sum(pts.shape[0] for pts, _ in bodies.mc_chunks(second, mc)),)
+    assert proj.shape == (sum(part.shape[0] for part, _ in bodies.mc_chunks(second, mc, unit)),)
     assert not proj.flags.writeable
     with pytest.raises(ValueError):
         proj[0] = 0.0
