@@ -251,6 +251,8 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
     int_s^b h^beta <= int_s^delta g^beta on an s-grid over [a, delta]; and the
     single-crossing structure of h - g on each side of the anchor.
     """
+    if not 1 <= s_grid_size < np.inf:
+        raise ParameterError(f"s_grid_size must be finite and at least 1, got {s_grid_size}")
     a, b = h.domain
     hg = float(evaluate(h, g.anchor))
     total, right = powered_split(h, beta, g.anchor)

@@ -20,13 +20,16 @@ largest value it looked at), where beta = 0 integrates the indicator of
 scaled integrals, so they do not change when h is scaled by a power of 2 and
 stay in range at every beta; absolute integrals multiply by top^beta once,
 and raise FloatRangeError when that leaves the float range. All profiles are
-immutable after construction and all operations are pure.
+immutable after construction and all operations are pure; a piecewise-linear
+profile keeps a bounded memo of its kernel passes, whose results are bit for
+bit those of a fresh computation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,6 +54,10 @@ _CONCAVITY_GRID = 129  # uniform points added to an analytic profile's knots
 # |d| (e + 2) <= _SERIES_CUT is integrated by its midpoint series in d.
 _SERIES_CUT = 0.05
 _R_MAX = 1.0 - 2.0 ** -53  # keeps log1p finite on segments that reach zero
+
+# Keys (powers and (power, cut) pairs) a piecewise-linear profile keeps
+# integrals for; the oldest is dropped first.
+_MEMO_KEYS = 32
 
 
 def _check_exponent(name, value):
@@ -135,28 +142,36 @@ def _segments(ha, hb, dt, e, moment):
 
 
 def _mass_moment(ts, hs, e):
-    """Row-wise int h^e and int t h^e; hs is (B, m), ts is (m,) or (B, m)."""
+    """Row-wise int h^e and int t h^e, and the (B, m - 1) segment masses they
+    sum; hs is (B, m), ts is (m,) or (B, m)."""
     mass, centred = _segments(hs[:, :-1], hs[:, 1:], ts[..., 1:] - ts[..., :-1], e, True)
     mid = 0.5 * (ts[..., :-1] + ts[..., 1:])
-    return mass.sum(axis=1), (mid * mass + centred).sum(axis=1)
+    return mass.sum(axis=1), (mid * mass + centred).sum(axis=1), mass
 
 
-def _mass_tail(ts, hs, e, cut):
-    """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain."""
+def _mass_tail(ts, hs, e, cut, full=None):
+    """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain.
+
+    full holds the (B, m - 1) segment masses at the power e when the caller
+    has them; otherwise one kernel call integrates them with the cut's
+    partial segment.
+    """
     rows, m = np.arange(hs.shape[0]), hs.shape[1]
     ts = np.broadcast_to(ts, hs.shape)
     i = (ts[:, 1:-1] <= cut[:, None]).sum(axis=1)  # the segment holding the cut
     t0, t1, h0, h1 = ts[rows, i], ts[rows, i + 1], hs[rows, i], hs[rows, i + 1]
     hcut = h0 + (h1 - h0) / (t1 - t0) * (cut - t0)
-    # the m - 1 segments and, as one more column, [cut, t1]
-    ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
-    ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
-    hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
-    dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
-    seg, _ = _segments(ha, hb, dt, e, False)
-    full = seg[:, :-1]
+    if full is None:  # the m - 1 segments and, as one more column, [cut, t1]
+        ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
+        ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
+        hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
+        dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
+        seg, _ = _segments(ha, hb, dt, e, False)
+        full, part = seg[:, :-1], seg[:, -1]
+    else:
+        part, _ = _segments(hcut, h1, t1 - cut, e, False)
     after = np.arange(m - 1) > i[:, None]
-    return full.sum(axis=1), np.where(after, full, 0.0).sum(axis=1) + seg[:, -1]
+    return full.sum(axis=1), np.where(after, full, 0.0).sum(axis=1) + part
 
 
 def _tail_ratios(ts, hs, alpha, beta):
@@ -164,7 +179,7 @@ def _tail_ratios(ts, hs, alpha, beta):
     positive rows; ts is (m,) or (B, m). Both are 0-homogeneous in h, so each
     row is scaled to max 1 first."""
     hs = hs / hs.max(axis=1, keepdims=True)
-    mass, moment = _mass_moment(ts, hs, alpha)
+    mass, moment, _ = _mass_moment(ts, hs, alpha)
     cut = np.clip(moment / mass, ts[..., 0], ts[..., -1])
     total, tail = _mass_tail(ts, hs, beta, cut)
     return tail / total, cut
@@ -180,6 +195,11 @@ class PiecewiseLinear:
     No concavity requirement: this is the raw-profile representation used as
     input to the p-concavity certifier. Use ConcaveProfile for validated
     concave profiles.
+
+    The profile keeps what the segment kernel gave for its last _MEMO_KEYS
+    keys: per power, the segment masses, mass and moment over the domain;
+    per (power, cut), the total and tail masses. Every reader gets the same
+    bits as from a fresh computation.
     """
 
     def __init__(self, breakpoints):
@@ -199,6 +219,8 @@ class PiecewiseLinear:
         self.hs = hs
         self._top = float(hs.max())
         self._unit = hs / self._top if self._top > 0.0 else hs
+        self._unit.setflags(write=False)
+        self._memo = OrderedDict()
 
     @property
     def domain(self):
@@ -224,10 +246,45 @@ class PiecewiseLinear:
         ts = np.concatenate([[lo], self.ts[(self.ts > lo) & (self.ts < hi)], [hi]])
         return ts, np.interp(ts, self.ts, self._unit)
 
+    def _remember(self, key, entry):
+        self._memo[key] = entry
+        if len(self._memo) > _MEMO_KEYS:
+            self._memo.popitem(last=False)
+        return entry
+
+    def _powered(self, beta):
+        """(segment masses, mass, moment) of (h / top)^beta over the domain,
+        from one kernel call per power. The moment is not range-checked."""
+        beta = float(beta)
+        entry = self._memo.get(beta)
+        if entry is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # readers check what they read
+                mass, moment, seg = _mass_moment(self.ts, self._unit[None], beta)
+            seg = seg[0]
+            seg.setflags(write=False)
+            entry = self._remember(beta, (seg, mass[0], moment[0]))
+        return entry
+
+    def _split(self, beta, cut):
+        """(total, tail) masses of (h / top)^beta, the tail right of a cut
+        inside the domain, as _mass_tail gives them."""
+        beta, cut = float(beta), float(cut)
+        entry = self._memo.get((beta, cut))
+        if entry is None:
+            full = self._powered(beta)[0][None]
+            total, tail = _mass_tail(self.ts, self._unit[None], beta, np.array([cut]), full)
+            entry = self._remember((beta, cut), (total[0], tail[0]))
+        return entry
+
     def integrals(self, beta, lo, hi):
-        ts, hs = self._restricted(lo, hi)
-        mass, moment = _mass_moment(ts, hs[None], beta)
-        return float(mass[0]), float(moment[0]), self._top or 1.0
+        a, b = self.domain
+        if lo <= a and hi >= b:
+            _, mass, moment = self._powered(beta)
+        else:
+            ts, hs = self._restricted(lo, hi)
+            mass, moment, _ = _mass_moment(ts, hs[None], beta)
+            mass, moment = mass[0], moment[0]
+        return float(mass), float(moment), self._top or 1.0
 
     def to_json(self):
         return {"breakpoints": [[float(t), float(h)] for t, h in zip(self.ts, self.hs)]}
@@ -616,13 +673,21 @@ def _check_in_domain(t, domain):
     return np.clip(t_arr, a, b)[()] if np.ndim(t) == 0 else np.clip(t_arr, a, b)
 
 
+def _check_not_nan(values, what):
+    """values as a float array; raises DomainError if one of them is NaN."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        raise DomainError(f"{what} must not be NaN")
+    return values
+
+
 def _check_interval(h, interval):
     a, b = h.domain
     if interval is None:
         return a, b
     lo, hi = float(interval[0]), float(interval[1])
     slack = 1e-12 * max(b - a, 1.0)
-    if lo < a - slack or hi > b + slack or hi < lo:
+    if not a - slack <= lo <= hi <= b + slack:  # NaN fails too
         raise DomainError(
             f"interval [{lo:g}, {hi:g}] not contained in domain [{a:g}, {b:g}]")
     return max(lo, a), min(hi, b)
@@ -705,8 +770,8 @@ def powered_split(h, beta, cut):
     b = h.domain[1]
     cut = _check_interval(h, (cut, b))[0]
     if isinstance(h, PiecewiseLinear):
-        total, right = _mass_tail(h.ts, h._unit[None], beta, np.array([cut]))
-        total, right = (float(total[0]), (h._top, beta)), (float(right[0]), (h._top, beta))
+        total, right = h._split(beta, cut)
+        total, right = (float(total), (h._top, beta)), (float(right), (h._top, beta))
     else:
         total, right = _integrals(h, beta)[::2], _integrals(h, beta, (cut, b))[::2]
     return _absolute(*total, "powered mass", beta), _absolute(*right, "powered mass", beta)
@@ -755,10 +820,15 @@ def _tail_ratio_cut(h, alpha, beta):
     if isinstance(h, PiecewiseLinear):
         if not h._top > 0.0:
             raise DegenerateProfileError("zero total powered mass")
+        # _tail_ratios on the one row, with the kernel passes read from the memo
+        _, mass, moment = h._powered(alpha)
         with np.errstate(over="ignore", invalid="ignore"):  # a moment far from t = 0 overflows
-            ratio, cut = _tail_ratios(h.ts, h.hs[None], alpha, beta)
-        ratio, cut = float(ratio[0]), float(cut[0])
-        if not (math.isfinite(ratio) and math.isfinite(cut)):
+            cut = float(np.clip(moment / mass, h.ts[0], h.ts[-1]))
+            ratio = math.nan
+            if math.isfinite(cut):  # no NaN reaches the memo's keys
+                total, tail = h._split(beta, cut)
+                ratio = float(tail / total)
+        if not math.isfinite(ratio):
             raise FloatRangeError(f"tail ratio at powers ({alpha:g}, {beta:g}) is not finite: "
                                   "a mass or a moment about t = 0 leaves the float range")
         return ratio, cut
@@ -906,7 +976,7 @@ def superlevel_masses(h, beta, levels):
         raise ProfileError(f"superlevel masses need a piecewise-linear profile, "
                            f"not {type(h).__name__}")
     ts, hs = h.ts, h.hs
-    s = np.asarray(levels, dtype=float)[:, None]
+    s = _check_not_nan(levels, "levels")[:, None]
     t0, t1 = ts[:-1][None, :], ts[1:][None, :]
     h0, h1 = hs[:-1][None, :], hs[1:][None, :]
     slope = (h1 - h0) / (t1 - t0)
@@ -962,10 +1032,10 @@ def tail_masses(h, beta, cuts):
     """
     _check_exponent("beta", beta)
     a, b = h.domain
-    s = np.clip(np.asarray(cuts, dtype=float), a, b)
+    s = np.clip(_check_not_nan(cuts, "cuts"), a, b)
     if isinstance(h, PiecewiseLinear):
         ts, hs = h.ts, h._unit
-        full, _ = _segments(hs[:-1], hs[1:], np.diff(ts), beta, False)
+        full = h._powered(beta)[0]
         after = np.append(np.cumsum(full[::-1])[::-1], 0.0)  # segments i, i + 1, ...
         i = np.searchsorted(ts[1:-1], s, side="right")  # the segment holding s
         hcut = hs[i] + (hs[i + 1] - hs[i]) / (ts[i + 1] - ts[i]) * (s - ts[i])

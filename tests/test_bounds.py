@@ -246,6 +246,40 @@ def test_comparison_degenerate_profile_rejected():
         gl.build_comparison_affine(gl.ConcaveProfile([[0, 1], [1, 0]]), 1.0, 0.0)
 
 
+@pytest.mark.parametrize("size", [0, -3, 0.5, np.nan, np.inf])
+def test_validate_comparison_refuses_an_s_grid_without_points(size):
+    h = gl.ConcaveProfile([[0.0, 0.2], [0.3, 1.0], [1.0, 0.1]])
+    g = gl.build_comparison_affine(h, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="s_grid_size"):
+        gl.validate_comparison(h, g, 1.0, 1.0, s_grid_size=size)
+    assert gl.validate_comparison(h, g, 1.0, 1.0, s_grid_size=1).passed
+
+
+def test_a_grid_and_six_comparisons_make_26_kernel_passes(monkeypatch):
+    # verify_functional on the 4x4 grid, then criterion 4's construction on six
+    # pairs of it: one pass per power (4), one partial segment per (power,
+    # centroid) (16) and one per tail_masses grid (6).
+    grid = (0.5, 1.0, 2.0, 3.0)
+    pairs = ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (2.0, 3.0))
+    passes = []
+    kernel = profiles._segments
+
+    def counted(*args):
+        passes.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(profiles, "_segments", counted)
+    h = gl.random_concave(20, 24)
+    for alpha in grid:
+        for beta in grid:
+            assert gl.verify_functional(h, alpha, beta).passed
+    for alpha, beta in pairs:
+        g = gl.build_comparison_affine(h, alpha, beta)
+        assert gl.validate_comparison(h, g, alpha, beta).passed
+        assert gl.centroid_domination_check(h, alpha, beta).passed
+    assert len(passes) <= 26, sorted(passes)
+
+
 # ---------------------------------------------------------------------------
 # centroid domination
 # ---------------------------------------------------------------------------

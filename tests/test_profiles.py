@@ -4,7 +4,9 @@ Derived expected values are frozen from independent oracles: elementary
 antiderivatives for the affine cases, scipy quadrature for everything else.
 """
 
+import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -99,6 +101,35 @@ def test_powered_integral_rejects_bad_beta(affine):
 def test_powered_integral_rejects_interval_outside_domain(affine):
     with pytest.raises(DomainError):
         gl.powered_integral(affine, 1.0, (0.5, 1.5))
+
+
+_TENT = gl.ConcaveProfile([[0.0, 0.2], [0.3, 1.0], [1.0, 0.1]])
+
+
+@pytest.mark.parametrize("h", [_TENT, gl.ConstantProfile(1.0, 0.0, 1.0)], ids=["pl", "constant"])
+@pytest.mark.parametrize("call", [
+    lambda h: gl.powered_integral(h, 1.0, (math.nan, 1.0)),
+    lambda h: gl.moment_integral(h, 1.0, (math.nan, math.nan)),
+    lambda h: gl.profiles.powered_split(h, 1.0, math.nan),
+    lambda h: gl.tail_masses(h, 1.0, [math.nan]),
+    lambda h: gl.tail_masses(h, 1.0, [0.5, math.nan]),
+], ids=["powered_integral", "moment_integral", "powered_split", "tail_masses",
+        "tail_masses_second_cut"])
+def test_nan_intervals_and_cuts_are_refused_not_integrated(h, call):
+    with pytest.raises(DomainError):
+        call(h)
+    if isinstance(h, gl.PiecewiseLinear):  # nothing was kept under a NaN key
+        assert not any(math.isnan(x) for key in h._memo for x in np.atleast_1d(key))
+
+
+def test_nan_superlevel_levels_are_refused():
+    with pytest.raises(DomainError):
+        gl.superlevel_masses(_TENT, 1.0, [0.5, math.nan])
+
+
+def test_infinite_cuts_are_clipped_to_the_domain():
+    tails = gl.tail_masses(_TENT, 1.0, [-math.inf, math.inf])
+    assert tails[0] == gl.powered_integral(_TENT, 1.0) and tails[1] == 0.0
 
 
 def test_moment_integral_examples(affine):
@@ -923,3 +954,100 @@ def test_reports_refuse_non_finite_numbers(ratio, bound, tol, error):
         gl.make_report("functional-tail", ratio, bound, tol, {})
     with pytest.raises(ParameterError):
         gl.verify_functional(gl.ConcaveProfile([[0, 0], [1, 1], [2, 0]]), 1.0, 1.0, tol=math.nan)
+
+
+# ---------------------------------------------------------------------------
+# the powered-integral memo of a piecewise-linear profile
+# ---------------------------------------------------------------------------
+
+def test_unit_ordinates_are_read_only():
+    h = gl.ConcaveProfile([[0.0, 0.5], [0.3, 2.0], [1.0, 1.0]])
+    for arr in (h.ts, h.hs, h._unit):
+        with pytest.raises(ValueError):
+            arr[0] = 0.25
+
+
+def _bits(values):
+    return tuple(v.hex() if isinstance(v, float) else repr(v) for v in values)
+
+
+def _outcome(read, h):
+    """What read(h) returns, bit for bit, or the error it raises."""
+    try:
+        return _bits(read(h))
+    except gl.GrunlabError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _memo_readers(alpha, beta, where):
+    """Every reader of the memo at powers (alpha, beta) and at the cut
+    a + where (b - a), as (name, function of a profile to a tuple)."""
+    def cut(h):
+        a, b = h.domain
+        return a + where * (b - a)
+
+    def report(h):
+        rep = gl.verify_functional(h, alpha, beta)
+        return rep.ratio, rep.bound, rep.slack, rep.passed, rep.details["cut"]
+
+    def comparison(h):
+        return dataclasses.astuple(gl.build_comparison_affine(h, alpha, beta))
+
+    def validation(h):
+        g = gl.build_comparison_affine(h, alpha, beta)
+        return dataclasses.astuple(gl.validate_comparison(h, g, alpha, beta, s_grid_size=16))
+
+    readers = [
+        ("tail_mass_ratio", lambda h: (gl.tail_mass_ratio(h, alpha, beta),)),
+        ("alpha_centroid", lambda h: (gl.alpha_centroid(h, alpha),)),
+        ("powered_split", lambda h: gl.profiles.powered_split(h, beta, cut(h))),
+        ("powered_split at g_alpha",
+         lambda h: gl.profiles.powered_split(h, beta, gl.alpha_centroid(h, alpha))),
+        ("tail_masses", lambda h: tuple(gl.tail_masses(h, beta, [cut(h), *h.ts[1:-1]]))),
+        ("verify_functional", report),
+    ]
+    if beta > 0.0:
+        readers += [
+            ("powered_integral", lambda h: (gl.powered_integral(h, beta),)),
+            ("moment_integral", lambda h: (gl.moment_integral(h, beta),)),
+            ("build_comparison_affine", comparison),
+            ("validate_comparison", validation),
+            ("centroid_domination_check",
+             lambda h: dataclasses.astuple(gl.centroid_domination_check(h, alpha, beta))),
+        ]
+    return readers
+
+
+_memo_powers = st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]) | st.floats(0.0, 8.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=_seeds, m=st.integers(3, 20), k=st.integers(-60, 60),
+       calls=st.lists(st.tuples(_memo_powers, _memo_powers, st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6),
+       order=st.randoms(use_true_random=False))
+def test_memo_results_are_bitwise_those_of_a_cold_profile(seed, m, k, calls, order):
+    base = gl.random_concave(seed, m)
+    pts = np.column_stack([base.ts, 2.0 ** k * base.hs])
+    warm = gl.ConcaveProfile(pts)
+    work = [reader for alpha, beta, where in calls for reader in _memo_readers(alpha, beta, where)]
+    order.shuffle(work)
+    for name, read in work:
+        assert _outcome(read, warm) == _outcome(read, gl.ConcaveProfile(pts)), name
+        assert len(warm._memo) <= gl.profiles._MEMO_KEYS
+    for alpha, beta, _ in calls:
+        assert gl.tail_mass_ratio(warm, alpha, beta) == gl.tail_ratio_grid(
+            warm.ts, warm.hs, alpha, beta)
+
+
+def test_memo_keeps_at_most_its_cap_of_keys():
+    h = gl.random_concave(2024, 12)
+    powers = np.linspace(0.01, 10.0, 1000)
+    random.Random(3).shuffle(powers)
+    for beta in powers:
+        gl.tail_mass_ratio(h, 1.0, beta)
+        gl.alpha_centroid(h, beta)
+    assert len(h._memo) == gl.profiles._MEMO_KEYS
+    cold = gl.random_concave(2024, 12)
+    for beta in powers[:50]:  # evicted keys are recomputed to the same bits
+        assert gl.tail_mass_ratio(h, 1.0, beta) == gl.tail_mass_ratio(cold, 1.0, beta)
