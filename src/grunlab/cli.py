@@ -176,6 +176,8 @@ def _cmd_search(args):
     }
     fmt = _fmt(args)
     if fmt == "json":
+        payload["steps"] = {"accepted": result.accepted, "rejected": result.rejected,
+                            "infeasible": result.infeasible, "rounds": result.rounds}
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         rows = [{k: v for k, v in payload.items() if k != "best_profile"}]

@@ -12,9 +12,13 @@ fixes the entire trajectory; search restart k draws from generator [seed, k],
 sweep cell (i, j) draws its trials as one stack from [seed, i, j].
 
 Every ratio comes from the profile engine's segment kernel applied to a
-(B, m) stack of profiles: the restarts of a search move in lockstep as one
-stack, and a sweep cell evaluates all of its trials in one call. A stacked
-row gives bitwise the same ratio as the same row alone.
+(B, m) stack of profiles: a sweep cell evaluates all of its trials in one
+call, and each round of a search evaluates the next _AHEAD proposals of
+every restart, all from its current state, as one stack. A stacked row gives
+bitwise the same ratio as the same row alone, so the trajectories are those
+of one restart at a time, one step at a time. A restart draws its moves
+_BLOCK steps at a time as one block of raw generator words, decoded to
+exactly the values of the scalar draws.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +37,9 @@ from .profiles import CONCAVITY_TOL, ConcaveProfile, _check_exponent, _knot_chor
 
 _MIN_GAP = 1e-3  # minimum abscissa spacing in random profiles, relative to the domain
 _STEP_INIT, _STEP_FINAL = 0.3, 1e-4  # descent step, decayed geometrically over the budget
+_BLOCK = 1024  # descent steps a restart draws from its generator at once
+_AHEAD = 4  # proposals per restart evaluated in one kernel round
+_LO32 = np.uint64(0xFFFF_FFFF)
 
 
 # ---------------------------------------------------------------------------
@@ -175,68 +183,179 @@ class SearchConfig:
     def __post_init__(self):
         _check_exponent("alpha", self.alpha)
         _check_exponent("beta", self.beta)
-        if self.m < 3:
-            raise ParameterError("m must be at least 3")
+        if self.seed is None:
+            raise ParameterError("search requires an explicit seed")
+        for name in ("seed", "m", "budget", "restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ParameterError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
+        if not 3 <= self.m < 1 << 32:
+            raise ParameterError(f"m must lie in [3, 2^32), got {self.m}")
         if self.budget < 1:
             raise ParameterError("budget must be at least 1")
         if self.restarts < 1:
             raise ParameterError("restarts must be at least 1")
-        if self.seed is None:
-            raise ParameterError("search requires an explicit seed")
 
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The best restart's profile and ratio, and how the search got there.
+
+    accepted, rejected and infeasible count, per restart, the steps of its
+    trajectory whose proposal lowered the ratio, did not, or was flat or zero
+    inside after projection; they sum to the budget. rounds counts kernel
+    rounds: one projection call and at most one tail-ratio call each.
+    """
+
     profile: ConcaveProfile
     ratio: float
     bound: float
     gap: float
     trace: list = field(default_factory=list)
     config: SearchConfig | None = None
+    accepted: tuple = ()
+    rejected: tuple = ()
+    infeasible: tuple = ()
+    rounds: int = 0
+
+
+def _decode_moves(words, m):
+    """Decode raw PCG64 words (..., 2n) into what n rounds of the scalar
+    draws integers(0, m), integers(0, 2), uniform(0.1, 1.0) take from them.
+
+    numpy's bounded integers are Lemire's method on a 32-bit draw, and PCG64
+    serves a word's low half first, then its high half. So word 2i gives the
+    column (lo32 * m) >> 32 and the coin (hi32 * 2) >> 32, its top bit; word
+    2i + 1 gives the uniform's 53-bit double. Lemire draws again when
+    (lo32 * m) mod 2^32 < (2^32 - m) mod m, which shifts every later draw:
+    `rejected` flags each row of words where that happens, and its other
+    values are then not the scalar draws. Returns (cols, up, mags, rejected).
+    """
+    even, odd = words[..., 0::2], words[..., 1::2]
+    scaled = (even & _LO32) * np.uint64(m)
+    cols = (scaled >> np.uint64(32)).astype(np.intp)
+    up = (even >> np.uint64(63)) == 1
+    mags = 0.1 + (1.0 - 0.1) * ((odd >> np.uint64(11)) * 2.0 ** -53)
+    rejected = ((scaled & _LO32) < (2 ** 32 - m) % m).any(axis=-1)
+    return cols, up, mags, rejected
+
+
+def _draw_moves(rngs, m, steps):
+    """Columns and moves, each (len(rngs), n), of the next n = steps.size
+    descent steps of each generator: column integers(0, m) and move
+    (-1.0, 1.0)[integers(0, 2)] * step * uniform(0.1, 1.0), bitwise as the
+    scalar draws give them.
+
+    Each generator gives its block as one random_raw call for _decode_moves.
+    One that holds half a word back, or whose block meets a Lemire
+    rejection, goes back to its saved state and makes the scalar draws.
+    """
+    n = steps.size
+    saved = [rng.bit_generator.state for rng in rngs]
+    words = np.stack([rng.bit_generator.random_raw(2 * n) for rng in rngs])
+    cols, up, mags, redraw = _decode_moves(words, m)
+    for i in np.flatnonzero(redraw | [state["has_uint32"] for state in saved]):
+        rng = rngs[i]
+        rng.bit_generator.state = saved[i]
+        for j in range(n):
+            cols[i, j] = rng.integers(0, m)
+            up[i, j] = rng.integers(0, 2)
+            mags[i, j] = rng.uniform(0.1, 1.0)
+    return cols, np.where(up, 1.0, -1.0) * steps * mags
+
+
+def _decayed_steps(first, decay, n):
+    """n steps from first on, each max(step * decay, _STEP_FINAL) of the one
+    before: bitwise that loop, since a product below the floor stays below."""
+    steps = np.full(n, decay)
+    steps[0] = first
+    np.multiply.accumulate(steps, out=steps)
+    return np.maximum(steps, _STEP_FINAL, out=steps)
 
 
 def minimize_tail_ratio(config):
     """Seeded multi-restart coordinate descent; gap >= -1e-9 always.
 
-    Restart k draws from its own generator [seed, k]. All restarts move in
-    lockstep as one (restarts, m) stack and follow the same trajectories as
-    if each ran alone; the trace lists each restart's accepted moves
-    (k, iteration, ratio) in order, restart by restart.
+    Restart k draws from its own generator [seed, k]: the initial ordinates,
+    then per step a column, a sign and a magnitude scaled by a step size that
+    decays geometrically over the budget. A step projects the move; a
+    feasible proposal that lowers the ratio by more than 1e-15 is accepted.
+
+    The moves never depend on the state, so each restart draws _BLOCK steps'
+    moves at once (_draw_moves), and each kernel round evaluates every
+    unfinished restart's next _AHEAD proposals from its current state, as one
+    stack. A restart takes its first accepted proposal and discards the rest;
+    with none accepted it moves past all of them. Every trajectory, the trace
+    (k, iteration, ratio) of accepted moves, restart by restart, and the best
+    profile are bitwise those of one restart at a time, one step at a time.
 
     A gap below -1e-9 would falsify the underlying inequality and raises
     RuntimeError; nothing downstream should ever see it.
     """
-    m, alpha, beta = config.m, config.alpha, config.beta
+    m, alpha, beta, budget = config.m, config.alpha, config.beta, config.budget
     ts = np.linspace(0.0, 1.0, m)
     bound = functional_bound(alpha, beta).value
-    decay = (_STEP_FINAL / _STEP_INIT) ** (1.0 / max(config.budget, 1))
+    decay = (_STEP_FINAL / _STEP_INIT) ** (1.0 / budget)
     rngs = [np.random.default_rng([config.seed, k]) for k in range(config.restarts)]
     hs, feasible = _project_concave(
         ts, np.array([np.maximum(rng.uniform(0.0, 1.0, m), 1e-3) for rng in rngs]))
     hs[~feasible] = 1.0 - 0.5 * ts
     cur, _ = _tail_ratios(ts, hs, alpha, beta)
+    n = len(rngs)
     traces = [[] for _ in rngs]
-    rows = np.arange(len(rngs))
-    cols = np.empty(len(rngs), dtype=np.intp)
-    moves = np.empty(len(rngs))
-    step = _STEP_INIT
-    for it in range(config.budget):
-        for k, rng in enumerate(rngs):
-            cols[k] = rng.integers(0, m)
-            # same draws as rng.choice((-1.0, 1.0)), at a fraction of its cost
-            moves[k] = (-1.0, 1.0)[rng.integers(0, 2)] * step * rng.uniform(0.1, 1.0)
-        prop = hs.copy()
-        prop[rows, cols] = np.maximum(prop[rows, cols] + moves, 0.0)
+    accepted, rejected, infeasible = (np.zeros(n, dtype=np.int64) for _ in range(3))
+    # restart k's block of drawn moves; its step pos[k] is entry head[k]
+    cols = np.zeros((n, min(_BLOCK, budget) + _AHEAD), dtype=np.intp)
+    moves = np.zeros(cols.shape)
+    head = np.zeros(n, dtype=np.intp)
+    size = np.zeros(n, dtype=np.intp)
+    pos = np.zeros(n, dtype=np.intp)
+    first_step = {0: _STEP_INIT}  # block start -> the step size there
+    ahead = np.arange(_AHEAD)
+    rows, restart = np.arange(n * _AHEAD), np.arange(n)[:, None]
+    rounds = 0
+    # a finished restart has spent its last block: its rows are never valid
+    while (pos < budget).any():
+        spent = np.flatnonzero((head == size) & (pos < budget))
+        for start in set(pos[spent].tolist()):  # each a multiple of _BLOCK
+            group = spent[pos[spent] == start]
+            steps = _decayed_steps(first_step[start], decay, min(_BLOCK, budget - start))
+            first_step[start + steps.size] = max(float(steps[-1]) * decay, _STEP_FINAL)
+            cols[group, :steps.size], moves[group, :steps.size] = _draw_moves(
+                [rngs[k] for k in group], m, steps)
+            head[group], size[group] = 0, steps.size
+        at = head[:, None] + ahead
+        valid = at < size[:, None]
+        prop = np.repeat(hs, _AHEAD, axis=0)
+        col = cols[restart, at].ravel()
+        prop[rows, col] = np.maximum(prop[rows, col] + moves[restart, at].ravel(), 0.0)
         proj, feasible = _project_concave(ts, prop)
-        step = max(step * decay, _STEP_FINAL)
-        if not feasible.any():
-            continue
-        vals, _ = _tail_ratios(ts, np.where(feasible[:, None], proj, hs), alpha, beta)
-        accept = feasible & (vals < cur - 1e-15)
-        for k in np.flatnonzero(accept):
-            traces[k].append((int(k), it, float(vals[k])))
-        hs[accept] = proj[accept]
-        cur[accept] = vals[accept]
+        feasible = feasible.reshape(valid.shape) & valid
+        vals = np.full(valid.shape, np.inf)
+        if feasible.any():
+            vals[feasible] = _tail_ratios(ts, proj[feasible.ravel()], alpha, beta)[0]
+        accept = vals < (cur - 1e-15)[:, None]
+        hit = accept.any(axis=1)
+        # the trajectory takes the first accepted proposal; the rest are not steps
+        first = np.where(hit, accept.argmax(axis=1), valid.sum(axis=1))
+        seen = ahead < first[:, None]
+        accepted += hit
+        rejected += (seen & feasible).sum(axis=1)
+        infeasible += (seen & ~feasible).sum(axis=1)
+        won = np.flatnonzero(hit)
+        if won.size:
+            w = first[won]
+            for k, it, val in zip(won.tolist(), (pos[won] + w).tolist(),
+                                  vals[won, w].tolist()):
+                traces[k].append((k, it, val))
+            hs[won] = proj.reshape(n, _AHEAD, m)[won, w]
+            cur[won] = vals[won, w]
+        pos += first + hit
+        head += first + hit
+        rounds += 1
     best = int(np.argmin(cur))
     best_ratio = float(cur[best])
     gap = best_ratio - bound
@@ -247,7 +366,9 @@ def minimize_tail_ratio(config):
     profile = ConcaveProfile(np.column_stack([ts, hs[best]]))
     return SearchResult(profile=profile, ratio=best_ratio, bound=float(bound),
                         gap=float(gap), trace=[t for trace in traces for t in trace],
-                        config=config)
+                        config=config, accepted=tuple(accepted.tolist()),
+                        rejected=tuple(rejected.tolist()),
+                        infeasible=tuple(infeasible.tolist()), rounds=rounds)
 
 
 # ---------------------------------------------------------------------------

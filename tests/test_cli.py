@@ -157,6 +157,18 @@ def test_search_env_seed_fallback(capsys, monkeypatch):
     assert "breakpoints" in data["best_profile"]
 
 
+def test_search_json_counts_each_restarts_steps(capsys):
+    code, out, _ = run(capsys, "search", "--alpha", "1", "--beta", "2", "--seed", "7",
+                       "--budget", "50", "--restarts", "3", "--format", "json")
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert len(steps["accepted"]) == len(steps["rejected"]) == len(steps["infeasible"]) == 3
+    assert [sum(c) for c in zip(steps["accepted"], steps["rejected"], steps["infeasible"])] \
+        == [50] * 3
+    assert sum(steps["accepted"]) == json.loads(out)["accepted_moves"]
+    assert 0 < steps["rounds"] <= 50
+
+
 def test_sweep_csv_and_exit(capsys):
     code, out, _ = run(capsys, "sweep", "--alpha-grid", "1,2", "--beta-grid", "1",
                        "--trials", "10", "--seed", "5")

@@ -73,6 +73,27 @@ def test_search_config_validation():
         gl.SearchConfig(alpha=1, beta=1, seed=None)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("m", 16.5), ("budget", 2.5), ("restarts", 2.5),  # numpy raised TypeError
+    ("seed", -1),                                      # numpy raised ValueError
+    ("seed", 1.5),                                     # numpy raised TypeError
+    ("restarts", True),                                # ran as one restart
+    ("m", True), ("budget", True), ("seed", False),
+    ("m", 2 ** 32),                                    # past the 32-bit column decode
+    ("m", "16"),
+])
+def test_search_config_rejects_what_the_search_cannot_run(field, value):
+    with pytest.raises(ParameterError, match=field):
+        gl.SearchConfig(**{"alpha": 1.0, "beta": 1.0, "seed": 1, field: value})
+
+
+def test_search_config_takes_numpy_integers_as_ints():
+    cfg = gl.SearchConfig(alpha=1.0, beta=1.0, seed=np.uint64(7), m=np.int64(2 ** 31),
+                          budget=np.int64(3), restarts=np.int8(2))
+    assert (cfg.seed, cfg.m, cfg.budget, cfg.restarts) == (7, 2 ** 31, 3, 2)
+    assert all(type(v) is int for v in (cfg.seed, cfg.m, cfg.budget, cfg.restarts))
+
+
 def test_sweep_default_grid_200_trials_no_violations():
     grid = [0.5, 1.0, 1.5, 2.0, 3.0]
     table = gl.sweep(grid, grid, trials=200, seed=20260808)
@@ -179,6 +200,11 @@ def test_stacked_rows_match_single_rows_bitwise(seed, rows, m, alpha, beta, flat
     (2.0, 1.0, 3, 16, 300, 8),
     (0.5, 3.0, 5, 5, 300, 3),
     (0.0, 1.0, 2, 6, 200, 3),
+    (1.0, 2.0, 4, 8, 1, 5),                        # budget 1
+    (2.0, 3.0, 9, 12, 250, 1),                     # one restart
+    (0.5, 1.0, 6, 7, 4 * search._AHEAD + 3, 4),    # budget not a multiple of the window
+    (1.0, 1.0, 8, 5, 3 * search._BLOCK + 5, 2),    # four draw blocks, the last short
+    (1.5, 1.5, 10, 9, 180, 3),                     # alpha = beta
 ])
 def test_lockstep_search_matches_restarts_run_alone(alpha, beta, seed, m, budget, restarts):
     cfg = gl.SearchConfig(alpha=alpha, beta=beta, seed=seed, m=m, budget=budget,
@@ -327,3 +353,169 @@ def test_sweep_builds_one_generator_per_cell(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counting)
     gl.sweep([1.0, 2.0], [1.0, 3.0], 200, seed=5)
     assert seeds == [[5, 0, 0], [5, 0, 1], [5, 1, 0], [5, 1, 1]]
+
+
+# ---------------------------------------------------------------------------
+# the descent's block-drawn moves, its windows and its counts
+# ---------------------------------------------------------------------------
+
+def _scalar_moves(rng, m, n):
+    draws = [(rng.integers(0, m), rng.integers(0, 2), rng.uniform(0.1, 1.0)) for _ in range(n)]
+    return [np.array(d) for d in zip(*draws)]
+
+
+@pytest.mark.parametrize("m", [3, 5, 10, 12, 16, 40, 1001])
+def test_block_decode_is_the_scalar_draws(m):
+    # numpy's Generator.integers and uniform on PCG64: if numpy changes either
+    # stream, this fails before any trajectory can change silently
+    for seed in range(30):
+        block = np.random.default_rng([seed, 1])
+        scalar = np.random.default_rng([seed, 1])
+        for rng in (block, scalar):  # as a restart starts: m initial ordinates
+            rng.uniform(0.0, 1.0, m)
+        for n in (200, 37):
+            cols, up, mags, rejected = search._decode_moves(
+                block.bit_generator.random_raw(2 * n), m)
+            assert not rejected
+            want_cols, want_up, want_mags = _scalar_moves(scalar, m, n)
+            assert np.array_equal(cols, want_cols)
+            assert np.array_equal(up, want_up == 1)
+            assert np.array_equal(mags, want_mags)
+        assert block.bit_generator.state["state"] == scalar.bit_generator.state["state"]
+
+
+def test_block_decode_flags_lemire_rejections():
+    # lo32 = 0 scales to 0, below the threshold (2^32 - m) mod m unless m is a
+    # power of two, where the threshold is 0 and nothing is rejected
+    top = 0xFFFF_FFFF  # scales to 2^32 - m: never below the threshold
+    words = np.array([[5 << 32 | top, 17, top, 3], [1 << 63, 17, 7 << 40 | top, 3]],
+                     dtype=np.uint64)
+    for m in (3, 5, 10, 12, 40, 1001, 2 ** 31 + 1, 2 ** 32 - 1):
+        assert search._decode_moves(words, m)[3].tolist() == [False, True]
+    for m in (2, 4, 16, 1024, 2 ** 31):
+        assert search._decode_moves(words, m)[3].tolist() == [False, False]
+    cols, up, _, _ = search._decode_moves(words, 10)
+    assert cols.tolist() == [[9, 9], [0, 9]]
+    assert up.tolist() == [[False, False], [True, False]]
+
+
+def test_drawn_moves_are_the_scalar_draws_through_real_rejections():
+    # at m = 2^31 + 1 Lemire rejects about half of all draws, so blocks fall
+    # back to scalar draws, some of which end holding half a word back
+    m, n = 2 ** 31 + 1, 6
+    steps = search._decayed_steps(0.3, 0.9, n)
+    for seed in range(12):
+        rngs = [np.random.default_rng([seed, k]) for k in range(3)]
+        twins = [np.random.default_rng([seed, k]) for k in range(3)]
+        for _ in range(4):
+            cols, moves = search._draw_moves(rngs, m, steps)
+            for i, twin in enumerate(twins):
+                want_cols, want_up, want_mags = _scalar_moves(twin, m, n)
+                assert np.array_equal(cols[i], want_cols)
+                assert np.array_equal(moves[i], np.where(want_up == 1, 1.0, -1.0)
+                                      * steps * want_mags)
+                assert rngs[i].bit_generator.state == twin.bit_generator.state
+
+
+def test_decayed_steps_are_the_step_loop():
+    for budget in (1, 7, 50, 3000):
+        decay = (search._STEP_FINAL / search._STEP_INIT) ** (1.0 / budget)
+        step, want = search._STEP_INIT, []
+        for _ in range(budget + 20):
+            want.append(step)
+            step = max(step * decay, search._STEP_FINAL)
+        got = search._decayed_steps(search._STEP_INIT, decay, budget + 20)
+        assert got.tolist() == want
+
+
+def test_a_rejected_block_is_drawn_again_with_the_same_trajectory(monkeypatch):
+    decode, blocks = search._decode_moves, []
+
+    def one_rejection(words, m):
+        cols, up, mags, rejected = decode(words, m)
+        blocks.append(words.shape)
+        if len(blocks) == 2:
+            rejected = np.ones_like(rejected)
+        return cols, up, mags, rejected
+
+    monkeypatch.setattr(search, "_decode_moves", one_rejection)
+    monkeypatch.setattr(search, "_BLOCK", 16)
+    cfg = gl.SearchConfig(alpha=1.0, beta=2.0, seed=3, m=9, budget=70, restarts=3)
+    ts, hs, ratio, trace = reference_minimize(cfg)
+    res = gl.minimize_tail_ratio(cfg)
+    assert len(blocks) >= 3
+    assert np.array_equal(res.profile.hs, hs)
+    assert res.ratio == ratio
+    assert res.trace == trace
+
+
+def test_search_counts_every_step_of_each_trajectory_once():
+    for cfg in (gl.SearchConfig(alpha=1.0, beta=2.0, seed=7, m=16, budget=50, restarts=8),
+                gl.SearchConfig(alpha=0.5, beta=3.0, seed=2, m=4, budget=333, restarts=5),
+                gl.SearchConfig(alpha=3.0, beta=0.0, seed=5, m=3, budget=1, restarts=2)):
+        res = gl.minimize_tail_ratio(cfg)
+        assert len(res.accepted) == len(res.rejected) == len(res.infeasible) == cfg.restarts
+        for k in range(cfg.restarts):
+            assert res.accepted[k] + res.rejected[k] + res.infeasible[k] == cfg.budget
+            assert res.accepted[k] == sum(1 for t in res.trace if t[0] == k)
+        assert sum(res.accepted) == len(res.trace)
+        # each round moves every unfinished restart at least one step, at most a window
+        assert cfg.budget / search._AHEAD <= res.rounds <= cfg.budget
+
+
+def test_search_counts_infeasible_proposals(monkeypatch):
+    # the projection hardly ever fails on its own, so a third of its rows are
+    # made infeasible by a rule on their values, the same stacked or alone
+    project = search._project_concave
+
+    def failing(ts, hs):
+        proj, feasible = project(ts, hs)
+        return proj, feasible & (proj[:, 1] * 1e6 % 3.0 >= 1.0)
+
+    monkeypatch.setattr(search, "_project_concave", failing)
+    cfg = gl.SearchConfig(alpha=1.0, beta=2.0, seed=4, m=6, budget=301, restarts=3)
+    res = gl.minimize_tail_ratio(cfg)
+    ts = np.linspace(0.0, 1.0, cfg.m)
+    decay = (search._STEP_FINAL / search._STEP_INIT) ** (1.0 / cfg.budget)
+    trace, counts = [], []
+    for k in range(cfg.restarts):  # one restart, one step at a time
+        rng = np.random.default_rng([cfg.seed, k])
+        hs, ok = failing(ts, np.maximum(rng.uniform(0.0, 1.0, (1, cfg.m)), 1e-3))
+        hs = hs[0] if ok[0] else 1.0 - 0.5 * ts
+        cur, step, seen = gl.tail_ratio_grid(ts, hs, 1.0, 2.0), search._STEP_INIT, [0, 0, 0]
+        for it in range(cfg.budget):
+            j = rng.integers(0, cfg.m)
+            prop = hs.copy()
+            prop[j] = max(prop[j] + (-1.0, 1.0)[rng.integers(0, 2)] * step
+                          * rng.uniform(0.1, 1.0), 0.0)
+            proj, ok = failing(ts, prop[None])
+            step = max(step * decay, search._STEP_FINAL)
+            if not ok[0]:
+                seen[2] += 1
+                continue
+            val = gl.tail_ratio_grid(ts, proj[0], 1.0, 2.0)
+            better = val < cur - 1e-15
+            if better:
+                cur, hs = val, proj[0]
+                trace.append((k, it, val))
+            seen[0 if better else 1] += 1
+        counts.append(seen)
+    assert res.trace == trace
+    assert [list(c) for c in zip(res.accepted, res.rejected, res.infeasible)] == counts
+    assert min(res.infeasible) > 0
+
+
+def test_workload_search_makes_at_most_32_kernel_calls(monkeypatch):
+    # one call for the initial ratios, then one per round with a feasible
+    # proposal; one proposal per step made 51
+    calls = []
+    kernel = search._tail_ratios
+
+    def counted(*args):
+        calls.append(args[1].shape[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(search, "_tail_ratios", counted)
+    gl.minimize_tail_ratio(gl.SearchConfig(alpha=1.0, beta=2.0, seed=7, m=16, budget=50,
+                                           restarts=8))
+    assert len(calls) <= 32, calls
