@@ -42,6 +42,7 @@ from .profiles import (
     ConstantProfile,
     DecreasingPowerProfile,
     IncreasingPowerProfile,
+    ProfileKind,
     _certify_p_concave,
     _check_in_domain,
     _tail_ratio_cut,
@@ -517,7 +518,7 @@ def _simplex_volumes(points, idx):
     return np.abs(np.linalg.det(edges)) / math.factorial(points.shape[1])
 
 
-class SimplexSplineProfile:
+class SimplexSplineProfile(ProfileKind):
     """Section profile of a union of simplices: sum_s vol_s M(t; knots_s).
 
     M(t; y_0, ..., y_n) is the normalised B-spline (unit integral) of degree
@@ -860,7 +861,7 @@ def _mc_projections(body, u, mc):
     return proj, total
 
 
-class HistogramProfile:
+class HistogramProfile(ProfileKind):
     """Piecewise-constant binned profile (the Monte Carlo sample grid)."""
 
     def __init__(self, edges, values):

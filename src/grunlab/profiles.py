@@ -11,24 +11,27 @@ interval [a, b]:
 
 Piecewise-linear profiles integrate through one segment kernel, shared with
 the extremal search; power laws and ball sections have closed forms. Every
-profile kind integrates itself and names the scale it integrates at:
-integrals(beta, lo, hi) gives (mass, moment, top), the integrals of
-(h / top)^beta and t (h / top)^beta on a sub-interval lo < hi at every
-beta >= 0, with a scale top > 0 of the kind's choosing (its maximum, or the
-largest value it looked at), where beta = 0 integrates the indicator of
-{h > 0} (the limit as the power tends to 0). Ratios and centroids read the
-scaled integrals, so they do not change when h is scaled by a power of 2 and
-stay in range at every beta; absolute integrals multiply by top^beta once,
-and raise FloatRangeError when that leaves the float range. All profiles are
-immutable after construction and all operations are pure; a piecewise-linear
-profile keeps a bounded memo of its kernel passes, whose results are bit for
-bit those of a fresh computation.
+profile kind answers two queries at a scale top > 0 of its choosing (its
+maximum, or the largest value it looked at), at every beta >= 0, where
+beta = 0 integrates the indicator of {h > 0}: integrals(beta, lo, hi) gives
+(mass, moment, top), the integrals of (h / top)^beta and t (h / top)^beta
+on lo < hi, and tails(beta, cuts) gives (masses, top), those of
+(h / top)^beta right of each cut. Piecewise-linear tails take the extremal
+search's formula (_right_of); the other kinds share a default built on
+integrals. The operations read every kind, at its innermost base, through
+these two queries alone. Ratios and centroids read the scaled integrals, so
+they do not change when h is scaled by a power of 2 and stay in range at
+every beta; absolute integrals multiply by top^beta once, and raise
+FloatRangeError when that leaves the float range. Profiles are immutable
+and operations pure; a piecewise-linear profile keeps a bounded memo of its
+kernel passes by power and (power, cut), bit for bit equal to fresh ones.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -58,12 +61,14 @@ _R_MAX = 1.0 - 2.0 ** -53  # keeps log1p finite on segments that reach zero
 # Keys (powers and (power, cut) pairs) a piecewise-linear profile keeps
 # integrals for; the oldest is dropped first.
 _MEMO_KEYS = 32
+_TAIL_BLOCK = 1 << 14  # numbers per block of a piecewise-linear tails pass
 
 
 def _check_exponent(name, value):
-    """Raise ParameterError unless value is a finite, non-negative exponent."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ParameterError(f"{name} must be finite and non-negative, got {value}")
+    """Raise ParameterError unless value is a finite, non-negative int or float, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))
+            or not 0 <= value < math.inf or isinstance(value, int) and value > sys.float_info.max):
+        raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 def _check_power(name, value):
@@ -149,29 +154,26 @@ def _mass_moment(ts, hs, e):
     return mass.sum(axis=1), (mid * mass + centred).sum(axis=1), mass
 
 
-def _mass_tail(ts, hs, e, cut, full=None):
-    """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain.
+def _right_of(seg, i):
+    """Masked row sums of seg (B, m - 1) or (m - 1,) right of segments i (B,)."""
+    return np.where(np.arange(seg.shape[-1]) > i[:, None], seg, 0.0).sum(axis=1)
 
-    full holds the (B, m - 1) segment masses at the power e when the caller
-    has them; otherwise one kernel call integrates them with the cut's
-    partial segment.
-    """
-    rows, m = np.arange(hs.shape[0]), hs.shape[1]
+
+def _mass_tail(ts, hs, e, cut):
+    """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain,
+    from one kernel call over the m - 1 segments and the cut's partial one."""
+    rows = np.arange(hs.shape[0])
     ts = np.broadcast_to(ts, hs.shape)
     i = (ts[:, 1:-1] <= cut[:, None]).sum(axis=1)  # the segment holding the cut
     t0, t1, h0, h1 = ts[rows, i], ts[rows, i + 1], hs[rows, i], hs[rows, i + 1]
     hcut = h0 + (h1 - h0) / (t1 - t0) * (cut - t0)
-    if full is None:  # the m - 1 segments and, as one more column, [cut, t1]
-        ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)
-        ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
-        hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
-        dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
-        seg, _ = _segments(ha, hb, dt, e, False)
-        full, part = seg[:, :-1], seg[:, -1]
-    else:
-        part, _ = _segments(hcut, h1, t1 - cut, e, False)
-    after = np.arange(m - 1) > i[:, None]
-    return full.sum(axis=1), np.where(after, full, 0.0).sum(axis=1) + part
+    ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)  # last: [cut, t1]
+    ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
+    hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
+    dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
+    seg, _ = _segments(ha, hb, dt, e, False)
+    full, part = seg[:, :-1], seg[:, -1]
+    return full.sum(axis=1), _right_of(full, i) + part
 
 
 def _tail_ratios(ts, hs, alpha, beta):
@@ -189,7 +191,21 @@ def _tail_ratios(ts, hs, alpha, beta):
 # profile types
 # ---------------------------------------------------------------------------
 
-class PiecewiseLinear:
+class ProfileKind:
+    """Base of the profile kinds: each answers integrals(beta, lo, hi)."""
+
+    def tails(self, beta, cuts):
+        """(masses, top): each tail integrated and range-checked as _integrals does,
+        then rescaled to the largest scale the tails name (1 if none)."""
+        b = self.domain[1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            parts = [self.integrals(beta, cut, b)[::2] if cut < b else (0.0, 0.0) for cut in cuts]
+        top = max((scale for _, scale in parts), default=0.0) or 1.0
+        return np.array([max(_in_range(mass, "powered mass", beta), 0.0) * (scale / top) ** beta
+                         for mass, scale in parts]), top
+
+
+class PiecewiseLinear(ProfileKind):
     """Nonnegative piecewise-linear function given by breakpoints.
 
     No concavity requirement: this is the raw-profile representation used as
@@ -198,8 +214,8 @@ class PiecewiseLinear:
 
     The profile keeps what the segment kernel gave for its last _MEMO_KEYS
     keys: per power, the segment masses, mass and moment over the domain;
-    per (power, cut), the total and tail masses. Every reader gets the same
-    bits as from a fresh computation.
+    per (power, cut), the tail masses. Every reader gets the same bits as
+    from a fresh computation.
     """
 
     def __init__(self, breakpoints):
@@ -218,13 +234,14 @@ class PiecewiseLinear:
         self.ts = ts
         self.hs = hs
         self._top = float(hs.max())
+        self._domain = float(ts[0]), float(ts[-1])
         self._unit = hs / self._top if self._top > 0.0 else hs
         self._unit.setflags(write=False)
         self._memo = OrderedDict()
 
     @property
     def domain(self):
-        return float(self.ts[0]), float(self.ts[-1])
+        return self._domain
 
     @property
     def breakpoints(self):
@@ -236,10 +253,6 @@ class PiecewiseLinear:
 
     def max_value(self):
         return self._top
-
-    @property
-    def quadrature_breakpoints(self):
-        return self.ts
 
     def _restricted(self, lo, hi):
         """Breakpoints and ordinates scaled to max 1 of h on [lo, hi]."""
@@ -265,16 +278,30 @@ class PiecewiseLinear:
             entry = self._remember(beta, (seg, mass[0], moment[0]))
         return entry
 
-    def _split(self, beta, cut):
-        """(total, tail) masses of (h / top)^beta, the tail right of a cut
-        inside the domain, as _mass_tail gives them."""
-        beta, cut = float(beta), float(cut)
-        entry = self._memo.get((beta, cut))
+    def tails(self, beta, cuts):
+        """The tail masses of _mass_tail from the memo's segment masses, with _right_of
+        once per distinct segment holding a cut; each pass in blocks of _TAIL_BLOCK.
+        One cut's are kept per (power, cut); a grid's are not, as they grow with it."""
+        beta = float(beta)
+        key = (beta, float(cuts[0])) if len(cuts) == 1 else None
+        entry = self._memo.get(key)
         if entry is None:
-            full = self._powered(beta)[0][None]
-            total, tail = _mass_tail(self.ts, self._unit[None], beta, np.array([cut]), full)
-            entry = self._remember((beta, cut), (total[0], tail[0]))
-        return entry
+            cuts, ts, hs = np.asarray(cuts, dtype=float), self.ts, self._unit
+            seg = self._powered(beta)[0]
+            i = ts[1:-1].searchsorted(cuts, side="right")  # the segment holding each cut
+            rows = np.bincount(i, minlength=seg.size).nonzero()[0]  # the distinct ones
+            right, step = np.empty(rows.size), max(1, _TAIL_BLOCK // seg.size)
+            for j in range(0, rows.size, step):
+                right[j:j + step] = _right_of(seg, rows[j:j + step])
+            entry = right[rows.searchsorted(i)]
+            for j in range(0, cuts.size, _TAIL_BLOCK):
+                s, k = cuts[j:j + _TAIL_BLOCK], i[j:j + _TAIL_BLOCK]
+                hcut = hs[k] + (hs[k + 1] - hs[k]) / (ts[k + 1] - ts[k]) * (s - ts[k])
+                entry[j:j + s.size] += _segments(hcut, hs[k + 1], ts[k + 1] - s, beta, False)[0]
+            entry.setflags(write=False)
+            if key:
+                self._remember(key, entry)
+        return entry, self._top or 1.0
 
     def integrals(self, beta, lo, hi):
         a, b = self.domain
@@ -316,7 +343,7 @@ class ConcaveProfile(PiecewiseLinear):
             raise DegenerateProfileError("profile has zero total integral")
 
 
-class AnalyticProfile:
+class AnalyticProfile(ProfileKind):
     """Base for closed-form profile families; subclasses fix the formula."""
 
     kind = None
@@ -552,9 +579,9 @@ def _ball_tail(y, z, e):
 class PowerProfile:
     """Lazy pointwise power base(t)^exponent of another profile.
 
-    Integrals of (base^e)^beta are integrals of base^(e*beta), which
-    _integrals takes from the base, so the wrapper stays exact whenever the
-    base is.
+    Integrals and tails of (base^e)^beta are those of base^(e*beta), which
+    the operations take from the innermost base (_innermost), so the wrapper
+    stays exact whenever the base is.
     """
 
     def __init__(self, base, exponent):
@@ -565,10 +592,6 @@ class PowerProfile:
     @property
     def domain(self):
         return self.base.domain
-
-    @property
-    def quadrature_breakpoints(self):
-        return self.base.quadrature_breakpoints
 
     def value(self, t):
         return np.maximum(self.base.value(t), 0.0) ** self.exponent
@@ -699,7 +722,7 @@ def evaluate(h, t):
 
 
 def _range_error(what, beta):
-    return FloatRangeError(f"{what} at power {beta:g} leaves the float range")
+    return FloatRangeError(f"{what} at power {beta:g} is not finite: it leaves the float range")
 
 
 def _in_range(val, what, beta):
@@ -708,17 +731,21 @@ def _in_range(val, what, beta):
     return float(val)
 
 
+def _innermost(h, power=1.0):
+    """(g, e) for g h's innermost base: h^power = g^e, e = power times the exponents around g."""
+    while isinstance(h, PowerProfile):
+        power, h = power * h.exponent, h.base
+    return h, power
+
+
 def _integrals(h, beta, interval=None):
     """(mass, moment, (top, power)) of h at power beta >= 0 over the interval,
     where power 0 integrates the indicator of {h > 0}: the integrals of
-    (g / top)^power and t (g / top)^power, with g h's innermost base and
-    power beta times the exponents of the PowerProfiles around it. The mass
-    is range-checked; the moment, which can overflow where the mass does not,
-    is left to the callers that read it."""
+    (g / top)^power and t (g / top)^power, for (g, power) = _innermost(h, beta).
+    The mass is range-checked; the moment, which can overflow where the mass
+    does not, is left to the callers that read it."""
     lo, hi = _check_interval(h, interval)
-    power = beta
-    while isinstance(h, PowerProfile):
-        power, h = power * h.exponent, h.base
+    h, power = _innermost(h, beta)
     if not hi > lo:
         return 0.0, 0.0, (1.0, power)
     with np.errstate(over="ignore", invalid="ignore"):  # checked here or by callers
@@ -764,17 +791,15 @@ def powered_split(h, beta, cut):
     """(int_a^b h^beta, int_cut^b h^beta) for a cut inside the domain.
 
     beta = 0 gives the lengths of {h > 0} and of its part right of the cut.
-    Raises FloatRangeError when the masses leave the float range.
+    The tail is tail_masses at the one cut, for every profile kind. Raises
+    FloatRangeError when the masses leave the float range.
     """
     _check_exponent("beta", beta)
-    b = h.domain[1]
-    cut = _check_interval(h, (cut, b))[0]
-    if isinstance(h, PiecewiseLinear):
-        total, right = h._split(beta, cut)
-        total, right = (float(total), (h._top, beta)), (float(right), (h._top, beta))
-    else:
-        total, right = _integrals(h, beta)[::2], _integrals(h, beta, (cut, b))[::2]
-    return _absolute(*total, "powered mass", beta), _absolute(*right, "powered mass", beta)
+    cut = _check_interval(h, (cut, h.domain[1]))[0]
+    total, _, (top, power) = _integrals(h, beta)
+    (right,), top_right = _innermost(h)[0].tails(power, [cut])
+    return (_absolute(total, (top, power), "powered mass", beta),
+            _absolute(float(right), (top_right, power), "powered mass", beta))
 
 
 def _centroid_mass(h, alpha):
@@ -800,39 +825,19 @@ def alpha_centroid(h, alpha):
     return _centroid_mass(h, alpha)[0]
 
 
-def _ratio_cut(h, alpha, beta):
-    """The tail ratio and its cut; at alpha = beta the centroid's mass is the total."""
+def _tail_ratio_cut(h, alpha, beta):
+    """Tail-mass ratio of h and its alpha-centroid cut; alpha = beta integrates the total once."""
+    _check_exponent("alpha", alpha)
+    _check_exponent("beta", beta)
     cut, total, (top, power) = _centroid_mass(h, alpha)
     if beta != alpha:
         total, _, (top, power) = _integrals(h, beta)
-    right, _, (top_right, _) = _integrals(h, beta, (cut, h.domain[1]))
+    (right,), top_right = _innermost(h)[0].tails(power, [cut])
     if not total > 0.0:
         raise DegenerateProfileError("zero total powered mass")
     if not right > 0.0:  # an empty tail (a cut rounded onto b) names the scale 1
         return 0.0, cut
-    return _absolute(right / total, (top_right / top, power), "tail ratio", beta), cut
-
-
-def _tail_ratio_cut(h, alpha, beta):
-    """The tail-mass ratio of h and the alpha-centroid it is cut at."""
-    _check_exponent("alpha", alpha)
-    _check_exponent("beta", beta)
-    if isinstance(h, PiecewiseLinear):
-        if not h._top > 0.0:
-            raise DegenerateProfileError("zero total powered mass")
-        # _tail_ratios on the one row, with the kernel passes read from the memo
-        _, mass, moment = h._powered(alpha)
-        with np.errstate(over="ignore", invalid="ignore"):  # a moment far from t = 0 overflows
-            cut = float(np.clip(moment / mass, h.ts[0], h.ts[-1]))
-            ratio = math.nan
-            if math.isfinite(cut):  # no NaN reaches the memo's keys
-                total, tail = h._split(beta, cut)
-                ratio = float(tail / total)
-        if not math.isfinite(ratio):
-            raise FloatRangeError(f"tail ratio at powers ({alpha:g}, {beta:g}) is not finite: "
-                                  "a mass or a moment about t = 0 leaves the float range")
-        return ratio, cut
-    return _ratio_cut(h, alpha, beta)
+    return _absolute(float(right / total), (top_right / top, power), "tail ratio", beta), cut
 
 
 def tail_mass_ratio(h, alpha, beta):
@@ -855,9 +860,9 @@ def integration_provenance(h, powers):
     gave the mass and the moment at every power; otherwise the fixed Gauss
     rule of a spline profile served some, and its node count is named.
     """
-    while isinstance(h, PowerProfile):
-        powers, h = [p * h.exponent for p in powers], h.base
-    nodes = [n for n, exact in map(h._rule, powers) if not exact] if hasattr(h, "_rule") else []
+    g = _innermost(h)[0]
+    rules = [g._rule(_innermost(h, p)[1]) for p in powers] if hasattr(g, "_rule") else []
+    nodes = [n for n, exact in rules if not exact]
     if not nodes:
         return {"kind": "exact"}
     return {"kind": "quadrature", "rule": "gauss-legendre, gauss-jacobi at ends",
@@ -882,31 +887,24 @@ class ConcavityCheck:
     witness: tuple | None
 
 
-def _unwrap_piecewise_linear(f):
-    g = f
-    while isinstance(g, PowerProfile):
-        g = g.base
-    return g if isinstance(g, PiecewiseLinear) else None
-
-
-def _concavity_triples(f):
-    """Sample triples (t0, t1, t2) for the discrete chord test.
+def _concavity_triples(g):
+    """Sample triples (t0, t1, t2) for the discrete chord test of a profile
+    that is not a PowerProfile.
 
     For piecewise-linear data the triples are the across-knot ones plus one
     midpoint triple per segment: checking consecutive points of the refined
     grid instead would test the interpolant against itself and falsely fail
     exactly p-concave sample sets. Analytic profiles use a uniform grid.
     """
-    a, b = f.domain
-    pl = _unwrap_piecewise_linear(f)
-    if pl is not None:
-        knots = pl.ts
+    a, b = g.domain
+    if isinstance(g, PiecewiseLinear):
+        knots = g.ts
         mids = 0.5 * (knots[:-1] + knots[1:])
         t0 = np.concatenate([knots[:-2], knots[:-1]])
         t1 = np.concatenate([knots[1:-1], mids])
         t2 = np.concatenate([knots[2:], knots[1:]])
         return t0, t1, t2
-    knots = np.asarray(getattr(f, "quadrature_breakpoints", [a, b]), dtype=float)
+    knots = np.asarray(getattr(g, "quadrature_breakpoints", [a, b]), dtype=float)
     pts = np.union1d(knots, np.linspace(a, b, _CONCAVITY_GRID))
     return pts[:-2], pts[1:-1], pts[2:]
 
@@ -924,17 +922,20 @@ def p_concavity_check(f, p, tol=CONCAVITY_TOL):
     """Certify that f^p is concave by discrete chord tests.
 
     Every sampled triple of the powered values must lie above its chord
-    within tol (relative to the powered maximum). Total: never raises on a
-    valid profile; a failure returns the violating triple as witness.
+    within tol (relative to the powered maximum, which is 1: f^p is read as
+    (g / top)^power, (g, power) = _innermost(f, p) and top g's largest sample,
+    so it stays in range). Total: never raises on a valid profile; a failure
+    returns the violating triple as witness.
     """
     _check_power("p", p)
-    t0, t1, t2 = _concavity_triples(f)
+    g, power = _innermost(f, p)
+    t0, t1, t2 = _concavity_triples(g)
     pts, inverse = np.unique(np.concatenate([t0, t1, t2]), return_inverse=True)
-    vals = np.maximum(np.asarray(f.value(pts), dtype=float), 0.0) ** p
+    vals = np.maximum(np.asarray(g.value(pts), dtype=float), 0.0)
+    vals = (vals / (vals.max() or 1.0)) ** power
     g0, g1, g2 = np.split(vals[inverse], 3)
-    scale = max(vals.max(), 1e-300)
     lam = (t1 - t0) / (t2 - t0)
-    viol = ((1.0 - lam) * g0 + lam * g2 - g1) / scale
+    viol = (1.0 - lam) * g0 + lam * g2 - g1
     worst = int(np.argmax(viol))
     max_violation = float(viol[worst])
     if max_violation <= tol:
@@ -1027,20 +1028,15 @@ def tail_masses(h, beta, cuts):
     """int_{max(s, a)}^{b} h^beta dt for an array of cut positions s.
 
     Cuts at or beyond b give 0. beta = 0 gives the length of {h > 0} right
-    of each cut. For piecewise-linear profiles this is the mass of the
-    segments right of each cut plus that of its partial segment.
+    of each cut. Every kind answers from its tails query at one scale; for a
+    piecewise-linear profile that is the formula of tail_ratio_grid: the
+    masked row sum of the segments right of each cut plus its partial
+    segment.
     """
     _check_exponent("beta", beta)
     a, b = h.domain
     s = np.clip(_check_not_nan(cuts, "cuts"), a, b)
-    if isinstance(h, PiecewiseLinear):
-        ts, hs = h.ts, h._unit
-        full = h._powered(beta)[0]
-        after = np.append(np.cumsum(full[::-1])[::-1], 0.0)  # segments i, i + 1, ...
-        i = np.searchsorted(ts[1:-1], s, side="right")  # the segment holding s
-        hcut = hs[i] + (hs[i + 1] - hs[i]) / (ts[i + 1] - ts[i]) * (s - ts[i])
-        part, _ = _segments(hcut, hs[i + 1], ts[i + 1] - s, beta, False)
-        with np.errstate(over="ignore"):
-            return _absolute(part + after[i + 1], (h._top, beta), "powered mass", beta)
-    return np.array([_absolute(mass, scale, "powered mass", beta)
-                     for mass, _, scale in (_integrals(h, beta, (si, b)) for si in s)])
+    g, power = _innermost(h, beta)
+    masses, top = g.tails(power, s.ravel())
+    with np.errstate(over="ignore"):
+        return _absolute(masses.reshape(s.shape), (top, power), "powered mass", beta)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import grunlab as gl
-from grunlab import search
+from grunlab import profiles, search
 
 
 def load_fixture(name):
@@ -26,6 +26,21 @@ def affine():
 def flat():
     """h = 1 on [0, 1]."""
     return gl.ConcaveProfile([[0.0, 1.0], [1.0, 1.0]])
+
+
+@pytest.fixture
+def kernel_passes(monkeypatch):
+    """The list of the powers at which the segment kernel runs, one entry a
+    pass, from the time the test asks for it."""
+    passes = []
+    kernel = profiles._segments
+
+    def counted(*args):
+        passes.append(args[3])
+        return kernel(*args)
+
+    monkeypatch.setattr(profiles, "_segments", counted)
+    return passes
 
 
 @pytest.fixture

@@ -255,21 +255,11 @@ def test_validate_comparison_refuses_an_s_grid_without_points(size):
     assert gl.validate_comparison(h, g, 1.0, 1.0, s_grid_size=1).passed
 
 
-def test_a_grid_and_six_comparisons_make_26_kernel_passes(monkeypatch):
-    # verify_functional on the 4x4 grid, then criterion 4's construction on six
-    # pairs of it: one pass per power (4), one partial segment per (power,
-    # centroid) (16) and one per tail_masses grid (6).
+def _grid_and_six_comparisons(h):
+    """verify_functional on the 4x4 grid, then criterion 4's construction on
+    six pairs of it."""
     grid = (0.5, 1.0, 2.0, 3.0)
     pairs = ((0.5, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (2.0, 3.0))
-    passes = []
-    kernel = profiles._segments
-
-    def counted(*args):
-        passes.append(args[3])
-        return kernel(*args)
-
-    monkeypatch.setattr(profiles, "_segments", counted)
-    h = gl.random_concave(20, 24)
     for alpha in grid:
         for beta in grid:
             assert gl.verify_functional(h, alpha, beta).passed
@@ -277,7 +267,23 @@ def test_a_grid_and_six_comparisons_make_26_kernel_passes(monkeypatch):
         g = gl.build_comparison_affine(h, alpha, beta)
         assert gl.validate_comparison(h, g, alpha, beta).passed
         assert gl.centroid_domination_check(h, alpha, beta).passed
+
+
+def test_a_grid_and_six_comparisons_make_26_kernel_passes(kernel_passes):
+    # one pass per power (4), one partial segment per (power, centroid) (16)
+    # and one per tail_masses grid (6)
+    passes = kernel_passes
+    _grid_and_six_comparisons(gl.random_concave(20, 24))
     assert len(passes) <= 26, sorted(passes)
+
+
+def test_a_power_of_a_piecewise_linear_profile_reads_its_memo(kernel_passes):
+    # the same 26 passes at the powers 0.5 (alpha, beta), through the base's
+    # memo; integrating each tail on its own would make 567
+    h = gl.PowerProfile(gl.random_concave(20, 24), 0.5)
+    _grid_and_six_comparisons(h)
+    assert len(kernel_passes) <= 26, sorted(kernel_passes)
+    assert sorted(set(kernel_passes)) == [0.25, 0.5, 1.0, 1.5]
 
 
 # ---------------------------------------------------------------------------

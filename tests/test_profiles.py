@@ -7,6 +7,7 @@ antiderivatives for the affine cases, scipy quadrature for everything else.
 import dataclasses
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -266,6 +267,29 @@ def test_alpha_centroid_examples(affine):
     assert gl.alpha_centroid(affine, 2.0) == pytest.approx(1.0 / 4.0, rel=1e-13)
     rising = gl.ConcaveProfile([[0.0, 0.0], [1.0, 1.0]])
     assert gl.alpha_centroid(rising, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-13)
+
+
+_UNIT_TENT = gl.ConcaveProfile([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize("value", ["1", True, np.True_, None, 1j, [1.0], 10 ** 400],
+                         ids=["str", "bool", "numpy-bool", "none", "complex", "list", "huge-int"])
+@pytest.mark.parametrize("call", [
+    lambda v: gl.SearchConfig(alpha=v, beta=1.0, seed=1),
+    lambda v: gl.SearchConfig(alpha=1.0, beta=v, seed=1),
+    lambda v: gl.functional_bound(v, 1.0),
+    lambda v: gl.functional_bound(1.0, v),
+    lambda v: gl.tail_ratio_grid([0.0, 1.0], [1.0, 1.0], v, 1.0),
+    lambda v: gl.tail_ratio_grid([0.0, 1.0], [1.0, 1.0], 1.0, v),
+    lambda v: gl.tail_mass_ratio(_UNIT_TENT, v, 1.0),
+    lambda v: gl.tail_mass_ratio(_UNIT_TENT, 1.0, v),
+], ids=["config-alpha", "config-beta", "bound-alpha", "bound-beta", "grid-alpha",
+        "grid-beta", "ratio-alpha", "ratio-beta"])
+def test_exponents_are_real_numbers_and_not_bools(call, value):
+    with pytest.raises(ParameterError, match="must be finite and non-negative"):
+        call(value)
+    for number in (1, 1.0, np.int64(1), np.float32(1.0)):
+        call(number)
 
 
 def test_alpha_centroid_zero_is_exact_midpoint():
@@ -551,6 +575,19 @@ def test_p_concavity_constant_any_p(flat):
 def test_p_concavity_rejects_bad_p(flat):
     with pytest.raises(ParameterError):
         gl.p_concavity_check(flat, 0.0)
+
+
+def test_p_concavity_check_reads_a_power_at_its_base_scale():
+    def check(t, p):
+        f = gl.PowerProfile(gl.ConcaveProfile([[0, t], [0.4, 1.7 * t], [1, 0]]), 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return gl.p_concavity_check(f, p)
+
+    for p in (0.5, 1.0):  # f^(1/2) is the concave base, f itself is not concave
+        small, large = check(1.0, p), check(1e200, p)
+        assert small.ok == large.ok == (p == 0.5)
+        assert large.max_violation == pytest.approx(small.max_violation, rel=1e-12, abs=1e-15)
 
 
 def test_p_concavity_on_analytic_profiles():
@@ -883,6 +920,66 @@ def test_ratios_and_centroids_are_bitwise_scale_free(k, alpha, beta):
                         assert math.isfinite(integral(scaled, beta))
                     except gl.FloatRangeError:
                         pass
+
+
+_ZIGZAG = np.linspace(0.0, 1.0, 24)
+_TAIL_KINDS = {
+    "piecewise-linear": gl.PiecewiseLinear(np.column_stack(
+        [_ZIGZAG, 1.0 + 0.5 * np.sin(7.0 * _ZIGZAG) + 0.3 * (np.arange(24) % 2)])),
+    "concave": gl.random_concave(11, 24),
+    "power-of-concave": gl.PowerProfile(gl.random_concave(3, 24), 0.5),
+    "simplex-spline": _SPLINE,
+    "ball-section": gl.BallSectionProfile(1.3, 4, center=-0.2),
+    "constant": gl.ConstantProfile(3.7, -0.2, 1.3),
+    "power-law": gl.DecreasingPowerProfile(1.3, 0.2, 1.7, 0.8),
+    "histogram": gl.HistogramProfile([0.0, 0.5, 1.2, 2.0], [1.0, 3.5, 0.0]),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TAIL_KINDS))
+def test_powered_split_and_tail_masses_read_one_tail_formula(kind):
+    h = _TAIL_KINDS[kind]
+    a, b = h.domain
+    for beta in (0.0, 0.5, 1.0, 2.5):
+        for cut in (a, a + 0.37 * (b - a), gl.alpha_centroid(h, 1.0), b):
+            assert gl.profiles.powered_split(h, beta, cut)[1] == gl.tail_masses(h, beta, [cut])[0]
+
+
+def test_powered_split_and_tail_masses_agree_bitwise_on_random_profiles():
+    for seed in range(300):
+        h = gl.random_concave(seed, 24)
+        cut = gl.alpha_centroid(h, 1.0)
+        for beta in (0.5, 1.0, 2.0, 3.0):
+            split = gl.profiles.powered_split(h, beta, cut)[1]
+            assert split == gl.tail_masses(h, beta, [cut])[0], (seed, beta)
+
+
+def test_piecewise_linear_tails_in_blocks_are_the_search_formula(monkeypatch):
+    monkeypatch.setattr(gl.profiles, "_TAIL_BLOCK", 64)  # blocks of one row, of 64 cuts
+    h = gl.random_concave(5, 100)
+    a, b = h.domain
+    cuts = np.concatenate([np.random.default_rng(1).uniform(a, b, 300), h.ts, [a, b]])
+    rows = np.broadcast_to(h._unit, (cuts.size, h.ts.size))
+    for beta in (0.0, 0.5, 1.5, 3.0):
+        tails, top = h.tails(beta, cuts)
+        assert top == h.max_value()
+        assert np.array_equal(tails, gl.profiles._mass_tail(h.ts, rows, beta, cuts)[1])
+
+
+def test_many_cuts_keep_tail_masses_in_bounded_memory():
+    h = gl.random_concave(5, 1000)
+    cuts = np.linspace(0.0, 1.0, 10 ** 5)
+    tracemalloc.start()
+    try:
+        masses = gl.tail_masses(h, 1.5, cuts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6  # a segment kernel pass over all the cuts at once peaks at 15.3 MB
+    picks = np.random.default_rng(2).choice(cuts.size, 50, replace=False)
+    rows = np.broadcast_to(h._unit, (picks.size, h.ts.size))
+    want = gl.profiles._mass_tail(h.ts, rows, 1.5, cuts[picks])[1] * h.max_value() ** 1.5
+    assert np.array_equal(masses[picks], want)
 
 
 def test_a_centroid_rounded_onto_the_right_end_leaves_an_empty_tail():
