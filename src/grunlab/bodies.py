@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import numbers
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -35,6 +34,8 @@ from .errors import (
     ParameterError,
     PreconditionError,
     ProfileError,
+    check_count,
+    check_exponent,
 )
 from .profiles import (
     BallSectionProfile,
@@ -388,9 +389,7 @@ class Revolution:
     section_scale = 1.0
 
     def __init__(self, profile, dim):
-        if int(dim) != dim or dim < 2:
-            raise ParameterError("ambient dimension must be an integer >= 2")
-        self.dim = int(dim)
+        self.dim = check_count("dim", dim, 2)
         self.profile = profile
         self._kappa = unit_ball_volume(self.dim - 1)
         _certify_p_concave(profile, 1.0 / (self.dim - 1), "revolved profile")
@@ -753,19 +752,9 @@ class McSpec:
     bins: int = 256
 
     def __post_init__(self):
-        if self.seed is None:
-            raise ParameterError("Monte Carlo runs require an explicit seed")
-        for name in ("seed", "samples", "bins"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if not 0 <= self.seed < 1 << 128:
-            raise ParameterError(f"seed must lie in [0, 2^128), got {self.seed}")
-        if self.samples < 10_000:
-            raise ParameterError("sample_count must be at least 10^4")
-        if self.bins < 16:
-            raise ParameterError("bin_count must be at least 16")
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0, 1 << 128))
+        object.__setattr__(self, "samples", check_count("samples", self.samples, 10_000))
+        object.__setattr__(self, "bins", check_count("bins", self.bins, 16))
 
     def meta(self):
         return {"seed": self.seed, "samples": self.samples, "bins": self.bins}
@@ -1007,8 +996,7 @@ def mc_halfspace_fraction(body, u, c, mc):
 
 def r_centroid_point(body, u, r, mc=None):
     """Coordinate along u of the r-powered centroid; r = 0 gives the midpoint."""
-    if not 0.0 <= r < math.inf:
-        raise ParameterError(f"r must be finite and non-negative, got {r}")
+    check_exponent("r", r)
     a, b = body.support_interval(u)
     if r == 0.0:
         return 0.5 * (a + b)

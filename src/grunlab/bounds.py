@@ -25,11 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateProfileError, ParameterError
+from .errors import (DegenerateProfileError, ParameterError, check_count, check_exponent,
+                     check_power)
 from .profiles import (
     _certify_p_concave,
-    _check_exponent,
-    _check_power,
     _tail_ratio_cut,
     alpha_centroid,
     evaluate,
@@ -68,8 +67,8 @@ def functional_bound(alpha, beta):
     Accepts beta = 0 as the continuous limit (value 1/(alpha+2)); the two
     branch expressions coincide at alpha = beta.
     """
-    _check_exponent("alpha", alpha)
-    _check_exponent("beta", beta)
+    check_exponent("alpha", alpha)
+    check_exponent("beta", beta)
     lo = min((beta + 1.0) / (alpha + 2.0), (alpha + 1.0) / (alpha + 2.0))
     regime = "beta_le_alpha" if beta <= alpha else "alpha_le_beta"
     return SharpBound(lo ** (beta + 1.0), regime, {"alpha": alpha, "beta": beta})
@@ -77,17 +76,15 @@ def functional_bound(alpha, beta):
 
 def functional_root_limit(alpha):
     """beta -> infinity limit of functional_bound(alpha, beta)^(1/beta)."""
-    _check_exponent("alpha", alpha)
+    check_exponent("alpha", alpha)
     return (alpha + 1.0) / (alpha + 2.0)
 
 
 def grunbaum_r_bound(p, r):
     """Sharp halfspace-mass bound for a p-concave section profile cut at the
     r-powered centroid; the branches agree at r = 1."""
-    if not 0.0 < p < np.inf:
-        raise ParameterError(f"p must be finite and positive, got {p}")
-    if not 0.0 <= r < np.inf:
-        raise ParameterError(f"r must be finite and non-negative, got {r}")
+    check_power("p", p)
+    check_exponent("r", r)
     base = min(p + 1.0, p + r) / (2.0 * p + r)
     if r == 0.0:
         regime = "midpoint"
@@ -98,17 +95,15 @@ def grunbaum_r_bound(p, r):
 
 def jensen_bbl_bound(p, r):
     """Weaker constant (p/(2p+r))^((p+1)/p) from the Jensen route."""
-    _check_power("p", p)
-    _check_power("r", r)
+    check_power("p", p)
+    check_power("r", r)
     return SharpBound((p / (2.0 * p + r)) ** ((p + 1.0) / p),
                       "jensen_bbl", {"p": p, "r": r})
 
 
 def classic_bounds(n):
     """The three classical constants in dimension n >= 2."""
-    if int(n) != n or n < 2:
-        raise ParameterError(f"dimension must be an integer >= 2, got {n}")
-    n = int(n)
+    n = check_count("n", n, 2)
     ratio = n / (n + 1.0)
     return {
         "grunbaum": SharpBound(ratio ** n, "grunbaum_classic", {"n": n}),
@@ -190,8 +185,7 @@ def build_comparison_affine(h, alpha, beta):
     gamma = delta - ((beta+1) I_total / c^beta)^(1/(beta+1)),
     where g is the alpha-centroid and I_* are beta-powered masses of h.
     """
-    if not beta > 0.0:
-        raise ParameterError(f"beta must be positive, got {beta}")
+    check_power("beta", beta)
     g = alpha_centroid(h, alpha)
     hg = float(evaluate(h, g))
     if not hg > 0.0:
@@ -251,8 +245,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
     int_s^b h^beta <= int_s^delta g^beta on an s-grid over [a, delta]; and the
     single-crossing structure of h - g on each side of the anchor.
     """
-    if not 1 <= s_grid_size < np.inf:
-        raise ParameterError(f"s_grid_size must be finite and at least 1, got {s_grid_size}")
+    s_grid_size = check_count("s_grid_size", s_grid_size, 1)
     a, b = h.domain
     hg = float(evaluate(h, g.anchor))
     total, right = powered_split(h, beta, g.anchor)
@@ -268,7 +261,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
         and g.delta >= b - slack
     )
 
-    cuts = np.linspace(a, g.delta, int(s_grid_size))
+    cuts = np.linspace(a, g.delta, s_grid_size)
     h_tails = tail_masses(h, beta, cuts)
     g_tails = g.powered_tail(beta, cuts)
     margin = float(np.min((g_tails - h_tails) / max(total, 1e-300)))

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import bodies, bounds, search
-from .errors import GrunlabError
+from .errors import GrunlabError, ParameterError
 from .profiles import profile_from_json
 from .reports import reports_to_csv
 
@@ -43,9 +43,10 @@ def _resolve_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("GRUNLAB_SEED")
-    if env is not None:
-        return int(env)
-    return None
+    try:
+        return None if env is None else int(env)
+    except ValueError:
+        raise ParameterError(f"GRUNLAB_SEED must be an integer, got {env!r}") from None
 
 
 def _parse_vector(text):

@@ -1,4 +1,10 @@
-"""Semantic exception hierarchy shared by all grunlab modules."""
+"""Semantic exception hierarchy shared by all grunlab modules, and the
+checks that raise ParameterError for exponents, powers, counts and seeds."""
+
+import math
+import sys
+
+import numpy as np
 
 
 class GrunlabError(Exception):
@@ -53,3 +59,37 @@ class FloatRangeError(GrunlabError, OverflowError):
     from the origin, or a report's ratio. Centroids and tail ratios read the
     integrals at the scale each profile names, so scaling h alone never
     raises it for them."""
+
+
+# The numeric-parameter rule: every exponent, power, count and seed is checked
+# here. A bool is an int to Python but never a number to grunlab.
+REALS = (float, int, np.floating, np.integer)
+_FLOAT_MAX = sys.float_info.max
+
+
+def check_exponent(name, value):
+    """Raise ParameterError unless value is a finite, non-negative int or float, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, REALS)
+            or not 0 <= value < math.inf or isinstance(value, int) and value > _FLOAT_MAX):
+        raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
+
+
+def check_power(name, value):
+    """Raise ParameterError unless value is a finite, positive int or float, not a bool."""
+    if (isinstance(value, bool) or not isinstance(value, REALS)
+            or not 0 < value < math.inf or isinstance(value, int) and value > _FLOAT_MAX):
+        raise ParameterError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_count(name, value, lo, hi=None):
+    """int(value); raise ParameterError unless value is an int or numpy
+    integer, not a bool, with lo <= value (and value < hi when hi is given)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if hi is None and value < lo:
+        raise ParameterError(f"{name} must be at least {lo}, got {value}")
+    if hi is not None and not lo <= value < hi:
+        top = f"2^{hi.bit_length() - 1}" if hi > 1024 and hi & (hi - 1) == 0 else hi
+        raise ParameterError(f"{name} must lie in [{lo}, {top}), got {value}")
+    return value

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -43,9 +42,11 @@ from .errors import (
     DegenerateProfileError,
     DomainError,
     FloatRangeError,
-    ParameterError,
     PreconditionError,
     ProfileError,
+    check_count,
+    check_exponent,
+    check_power,
 )
 from .quadrature import unit_ball_volume
 
@@ -62,19 +63,6 @@ _R_MAX = 1.0 - 2.0 ** -53  # keeps log1p finite on segments that reach zero
 # integrals for; the oldest is dropped first.
 _MEMO_KEYS = 32
 _TAIL_BLOCK = 1 << 14  # numbers per block of a piecewise-linear tails pass
-
-
-def _check_exponent(name, value):
-    """Raise ParameterError unless value is a finite, non-negative int or float, not a bool."""
-    if (isinstance(value, bool) or not isinstance(value, (float, int, np.floating, np.integer))
-            or not 0 <= value < math.inf or isinstance(value, int) and value > sys.float_info.max):
-        raise ParameterError(f"{name} must be finite and non-negative, got {value!r}")
-
-
-def _check_power(name, value):
-    """Raise ParameterError unless value is a finite, positive exponent."""
-    if not 0.0 < value < math.inf:
-        raise ParameterError(f"{name} must be finite and positive, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -494,10 +482,8 @@ class BallSectionProfile(AnalyticProfile):
     def __init__(self, radius, dim, center=0.0):
         if not radius > 0.0:
             raise ProfileError("radius must be positive")
-        if dim < 2 or int(dim) != dim:
-            raise ProfileError("ambient dimension must be an integer >= 2")
+        self.dim = check_count("dim", dim, 2)
         self.radius = float(radius)
-        self.dim = int(dim)
         self.center = float(center)
         self._kappa = unit_ball_volume(self.dim - 1)
         self._check_finite()
@@ -585,7 +571,7 @@ class PowerProfile:
     """
 
     def __init__(self, base, exponent):
-        _check_power("exponent", exponent)
+        check_power("exponent", exponent)
         self.base = base
         self.exponent = float(exponent)
 
@@ -606,7 +592,7 @@ class PowerProfile:
 def power_profile(base, exponent):
     """Raise a profile to a positive power, collapsing closed forms eagerly
     unless the collapsed maximum leaves the float range."""
-    _check_power("exponent", exponent)
+    check_power("exponent", exponent)
     if exponent == 1.0:
         return base
     if isinstance(base, PowerProfile):
@@ -772,7 +758,7 @@ def powered_integral(h, beta, interval=None):
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    _check_power("beta", beta)
+    check_power("beta", beta)
     mass, _, scale = _integrals(h, beta, interval)
     return _absolute(mass, scale, "powered mass", beta)
 
@@ -782,7 +768,7 @@ def moment_integral(h, beta, interval=None):
 
     Raises FloatRangeError when the integral leaves the float range.
     """
-    _check_power("beta", beta)
+    check_power("beta", beta)
     _, moment, scale = _integrals(h, beta, interval)
     return _absolute(moment, scale, "powered moment", beta)
 
@@ -794,7 +780,7 @@ def powered_split(h, beta, cut):
     The tail is tail_masses at the one cut, for every profile kind. Raises
     FloatRangeError when the masses leave the float range.
     """
-    _check_exponent("beta", beta)
+    check_exponent("beta", beta)
     cut = _check_interval(h, (cut, h.domain[1]))[0]
     total, _, (top, power) = _integrals(h, beta)
     (right,), top_right = _innermost(h)[0].tails(power, [cut])
@@ -821,14 +807,14 @@ def alpha_centroid(h, alpha):
     read from the integrals at the scale the profile names, so it stays in
     range at every alpha.
     """
-    _check_exponent("alpha", alpha)
+    check_exponent("alpha", alpha)
     return _centroid_mass(h, alpha)[0]
 
 
 def _tail_ratio_cut(h, alpha, beta):
     """Tail-mass ratio of h and its alpha-centroid cut; alpha = beta integrates the total once."""
-    _check_exponent("alpha", alpha)
-    _check_exponent("beta", beta)
+    check_exponent("alpha", alpha)
+    check_exponent("beta", beta)
     cut, total, (top, power) = _centroid_mass(h, alpha)
     if beta != alpha:
         total, _, (top, power) = _integrals(h, beta)
@@ -927,7 +913,7 @@ def p_concavity_check(f, p, tol=CONCAVITY_TOL):
     so it stays in range). Total: never raises on a valid profile; a failure
     returns the violating triple as witness.
     """
-    _check_power("p", p)
+    check_power("p", p)
     g, power = _innermost(f, p)
     t0, t1, t2 = _concavity_triples(g)
     pts, inverse = np.unique(np.concatenate([t0, t1, t2]), return_inverse=True)
@@ -972,7 +958,7 @@ def superlevel_masses(h, beta, levels):
     hypograph of h lying above height s. Exact per segment for piecewise-
     linear h, the only kind it takes; vectorized over levels.
     """
-    _check_power("beta", beta)
+    check_power("beta", beta)
     if not isinstance(h, PiecewiseLinear):
         raise ProfileError(f"superlevel masses need a piecewise-linear profile, "
                            f"not {type(h).__name__}")
@@ -1013,10 +999,8 @@ def superlevel_measure_concavity_check(h, beta, grid_size=512, tol=1e-7):
     area above height sigma of the hypograph of h^beta, a convex set, and
     Brunn-Minkowski applies. At beta = 1 the two forms coincide.
     """
-    _check_power("beta", beta)
-    if grid_size < 3:
-        raise ParameterError("grid_size must be at least 3")
-    levels = np.linspace(0.0, h.max_value(), int(grid_size))
+    check_power("beta", beta)
+    levels = np.linspace(0.0, h.max_value(), check_count("grid_size", grid_size, 3))
     u = superlevel_masses(h, beta, levels) ** (1.0 / (beta + 1.0))
     d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
     worst = int(np.argmax(d2))
@@ -1033,7 +1017,7 @@ def tail_masses(h, beta, cuts):
     masked row sum of the segments right of each cut plus its partial
     segment.
     """
-    _check_exponent("beta", beta)
+    check_exponent("beta", beta)
     a, b = h.domain
     s = np.clip(_check_not_nan(cuts, "cuts"), a, b)
     g, power = _innermost(h, beta)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
+from .errors import ConvergenceError, ParameterError, check_count
 
 
 @lru_cache(maxsize=64)
@@ -55,8 +55,7 @@ def adaptive_simpson(f, a, b, abs_tol=1e-10, max_subdivisions=60):
     """
     if not abs_tol > 0.0:
         raise ParameterError(f"abs_tol must be positive, got {abs_tol}")
-    if max_subdivisions < 1:
-        raise ParameterError("max_subdivisions must be at least 1")
+    max_subdivisions = check_count("max_subdivisions", max_subdivisions, 1)
     if b <= a:
         return 0.0
     mid = 0.5 * (a + b)
@@ -71,7 +70,6 @@ def adaptive_simpson(f, a, b, abs_tol=1e-10, max_subdivisions=60):
 
 
 def unit_ball_volume(n):
-    """Lebesgue volume of the Euclidean unit ball in R^n (n >= 0)."""
-    if n < 0:
-        raise ParameterError("dimension must be non-negative")
+    """Lebesgue volume of the Euclidean unit ball in R^n (an integer n >= 0)."""
+    n = check_count("n", n, 0)
     return float(np.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0))

@@ -6,9 +6,10 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
-from .errors import FloatRangeError, ParameterError
+from .errors import REALS, FloatRangeError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -49,11 +50,14 @@ class TheoremReport:
 
 def make_report(theorem, ratio, bound, tolerance, provenance, details=None):
     """A TheoremReport; a ratio or bound that is not a finite number gives no
-    verdict (FloatRangeError), nor does a NaN tolerance (ParameterError)."""
+    verdict (FloatRangeError), nor does a tolerance that is NaN or not a real
+    number (ParameterError); an infinite or negative one is kept."""
     if not (math.isfinite(ratio) and math.isfinite(bound)):
         raise FloatRangeError(f"{theorem}: ratio {ratio} or bound {bound} is not finite")
-    if math.isnan(tolerance):
-        raise ParameterError("tolerance must be a number, got nan")
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, REALS)
+            or isinstance(tolerance, int) and abs(tolerance) > sys.float_info.max
+            or math.isnan(tolerance)):
+        raise ParameterError(f"tolerance must be a number, got {tolerance!r}")
     slack = ratio - bound
     return TheoremReport(
         theorem=theorem,

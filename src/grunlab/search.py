@@ -26,14 +26,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import functional_bound
-from .errors import ParameterError
-from .profiles import CONCAVITY_TOL, ConcaveProfile, _check_exponent, _knot_chords, _tail_ratios
+from .errors import ParameterError, check_count, check_exponent
+from .profiles import CONCAVITY_TOL, ConcaveProfile, _knot_chords, _tail_ratios
 
 _MIN_GAP = 1e-3  # minimum abscissa spacing in random profiles, relative to the domain
 _STEP_INIT, _STEP_FINAL = 0.3, 1e-4  # descent step, decayed geometrically over the budget
@@ -46,12 +45,8 @@ _LO32 = np.uint64(0xFFFF_FFFF)
 # random concave profiles
 # ---------------------------------------------------------------------------
 
-def _check_draw(m, domain):
-    if m < 3:
-        raise ParameterError(f"need at least 3 breakpoints, got {m}")
-    if (m - 1) * _MIN_GAP > 1.0:
-        raise ParameterError(f"at most {round(1.0 / _MIN_GAP) + 1} breakpoints fit "
-                             f"the minimum gap {_MIN_GAP}, got {m}")
+def _check_draw(m, domain=(0.0, 1.0)):
+    check_count("m", m, 3, round(1.0 / _MIN_GAP) + 2)  # m - 1 gaps >= _MIN_GAP fit in 1
     a, b = float(domain[0]), float(domain[1])
     if not b > a:
         raise ParameterError("domain must have positive length")
@@ -111,8 +106,11 @@ def random_concave(seed, m, domain=(0.0, 1.0)):
     from a strictly decreasing random slope sequence (sorted normal draws),
     shifted nonnegative and scaled to max 1; with probability 1/2 the minimum
     stays at an endpoint zero, otherwise the profile is lifted. It is the
-    one-row stack of default_rng(seed), so a seed always gives one profile.
+    one-row stack of default_rng(seed), so a seed (a non-negative integer or
+    a list of them) always gives one profile.
     """
+    for part in seed if isinstance(seed, (list, tuple)) else [seed]:
+        check_count("seed", part, 0)
     ts, hs = _random_stack(np.random.default_rng(seed), 1, m, domain)
     return ConcaveProfile(np.column_stack([ts[0], hs[0]]))
 
@@ -139,8 +137,8 @@ def _check_concave_rows(ts, hs):
 
 def tail_ratio_grid(ts, hs, alpha, beta):
     """Tail-mass ratio of the PL profile (ts, hs) without object overhead."""
-    _check_exponent("alpha", alpha)
-    _check_exponent("beta", beta)
+    check_exponent("alpha", alpha)
+    check_exponent("beta", beta)
     ts = np.asarray(ts, dtype=float)
     hs = np.asarray(hs, dtype=float)
     return float(_tail_ratios(ts, hs[None, :], alpha, beta)[0][0])
@@ -181,23 +179,12 @@ class SearchConfig:
     restarts: int = 8
 
     def __post_init__(self):
-        _check_exponent("alpha", self.alpha)
-        _check_exponent("beta", self.beta)
-        if self.seed is None:
-            raise ParameterError("search requires an explicit seed")
-        for name in ("seed", "m", "budget", "restarts"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ParameterError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.seed < 0:
-            raise ParameterError(f"seed must be non-negative, got {self.seed}")
-        if not 3 <= self.m < 1 << 32:
-            raise ParameterError(f"m must lie in [3, 2^32), got {self.m}")
-        if self.budget < 1:
-            raise ParameterError("budget must be at least 1")
-        if self.restarts < 1:
-            raise ParameterError("restarts must be at least 1")
+        check_exponent("alpha", self.alpha)
+        check_exponent("beta", self.beta)
+        object.__setattr__(self, "seed", check_count("seed", self.seed, 0))
+        object.__setattr__(self, "m", check_count("m", self.m, 3, 1 << 32))
+        object.__setattr__(self, "budget", check_count("budget", self.budget, 1))
+        object.__setattr__(self, "restarts", check_count("restarts", self.restarts, 1))
 
 
 @dataclass(frozen=True)
@@ -421,8 +408,9 @@ def sweep(alpha_grid, beta_grid, trials, seed, m=12):
     order-independent), and each cell records the minimum slack
     ratio - bound and the profile attaining it.
     """
-    if trials < 0:
-        raise ParameterError(f"trials must be non-negative, got {trials}")
+    trials = check_count("trials", trials, 0)
+    seed = check_count("seed", seed, 0)
+    _check_draw(m)
     rows = []
     for i, alpha in enumerate(alpha_grid):
         for j, beta in enumerate(beta_grid):
@@ -435,6 +423,6 @@ def sweep(alpha_grid, beta_grid, trials, seed, m=12):
                 k = int(np.argmin(slack))
                 min_slack = slack[k]
                 argmin = profile_hash(ConcaveProfile(np.column_stack([ts[k], hs[k]])))
-            rows.append(SweepRow(float(alpha), float(beta), int(trials),
-                                 float(min_slack), argmin, int(seed)))
+            rows.append(SweepRow(float(alpha), float(beta), trials,
+                                 float(min_slack), argmin, seed))
     return SweepTable(rows=tuple(rows))

@@ -157,6 +157,23 @@ def test_search_env_seed_fallback(capsys, monkeypatch):
     assert "breakpoints" in data["best_profile"]
 
 
+@pytest.mark.parametrize("argv,env_seed,message", [
+    (("search", "--alpha", "1", "--beta", "1"), "abc", "GRUNLAB_SEED must be an integer"),
+    (("sweep", "--trials", "3"), "1.5", "GRUNLAB_SEED must be an integer"),
+    (("sweep", "--seed", "-3", "--trials", "3"), None, "seed must be at least 0"),
+    (("sweep", "--seed", "1", "--trials", "-1"), None, "trials must be at least 0"),
+    (("search", "--alpha", "1", "--beta", "1", "--seed", "-3"), None, "seed must be at least 0"),
+], ids=["env-search", "env-sweep", "negative-sweep", "negative-trials", "negative-search"])
+def test_a_bad_seed_is_an_error_line_not_a_traceback(capsys, monkeypatch, argv, env_seed, message):
+    if env_seed is None:
+        monkeypatch.delenv("GRUNLAB_SEED", raising=False)
+    else:
+        monkeypatch.setenv("GRUNLAB_SEED", env_seed)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_search_json_counts_each_restarts_steps(capsys):
     code, out, _ = run(capsys, "search", "--alpha", "1", "--beta", "2", "--seed", "7",
                        "--budget", "50", "--restarts", "3", "--format", "json")

@@ -272,23 +272,85 @@ def test_alpha_centroid_examples(affine):
 _UNIT_TENT = gl.ConcaveProfile([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
 
 
-@pytest.mark.parametrize("value", ["1", True, np.True_, None, 1j, [1.0], 10 ** 400],
-                         ids=["str", "bool", "numpy-bool", "none", "complex", "list", "huge-int"])
-@pytest.mark.parametrize("call", [
-    lambda v: gl.SearchConfig(alpha=v, beta=1.0, seed=1),
-    lambda v: gl.SearchConfig(alpha=1.0, beta=v, seed=1),
-    lambda v: gl.functional_bound(v, 1.0),
-    lambda v: gl.functional_bound(1.0, v),
-    lambda v: gl.tail_ratio_grid([0.0, 1.0], [1.0, 1.0], v, 1.0),
-    lambda v: gl.tail_ratio_grid([0.0, 1.0], [1.0, 1.0], 1.0, v),
-    lambda v: gl.tail_mass_ratio(_UNIT_TENT, v, 1.0),
-    lambda v: gl.tail_mass_ratio(_UNIT_TENT, 1.0, v),
-], ids=["config-alpha", "config-beta", "bound-alpha", "bound-beta", "grid-alpha",
-        "grid-beta", "ratio-alpha", "ratio-beta"])
-def test_exponents_are_real_numbers_and_not_bools(call, value):
-    with pytest.raises(ParameterError, match="must be finite and non-negative"):
+_TRIANGLE = gl.Simplex([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+_TENT_COMPARISON = gl.build_comparison_affine(_UNIT_TENT, 1.0, 1.0)
+_NOT_REALS = {"str": "1", "bool": True, "numpy-bool": np.True_, "none": None, "complex": 1j,
+              "list": [1.0], "huge-int": 10 ** 400, "nan": math.nan}
+_NOT_COUNTS = {"str": "5", "bool": True, "numpy-bool": np.True_, "none": None, "float": 5.5,
+               "whole-float": 3.0, "nan": math.nan, "inf": math.inf}
+_REALS = (1, 1.0, np.int64(1), np.float32(1.0))
+
+# (id, call, rule): an exponent, a power, a count with its least value, or a tolerance
+_PARAMETERS = [
+    ("config-alpha", lambda v: gl.SearchConfig(alpha=v, beta=1.0, seed=1), "exponent"),
+    ("config-beta", lambda v: gl.SearchConfig(alpha=1.0, beta=v, seed=1), "exponent"),
+    ("bound-alpha", lambda v: gl.functional_bound(v, 1.0), "exponent"),
+    ("bound-beta", lambda v: gl.functional_bound(1.0, v), "exponent"),
+    ("grid-alpha", lambda v: gl.tail_ratio_grid([0.0, 1.0], [1.0, 1.0], v, 1.0), "exponent"),
+    ("grid-beta", lambda v: gl.tail_ratio_grid([0.0, 1.0], [1.0, 1.0], 1.0, v), "exponent"),
+    ("ratio-alpha", lambda v: gl.tail_mass_ratio(_UNIT_TENT, v, 1.0), "exponent"),
+    ("ratio-beta", lambda v: gl.tail_mass_ratio(_UNIT_TENT, 1.0, v), "exponent"),
+    ("r-bound-r", lambda v: gl.grunbaum_r_bound(1.0, v), "exponent"),
+    ("centroid-r", lambda v: gl.r_centroid_point(_TRIANGLE, [1.0, 0.0], v), "exponent"),
+    ("r-bound-p", lambda v: gl.grunbaum_r_bound(v, 1.0), "power"),
+    ("jensen-p", lambda v: gl.jensen_bbl_bound(v, 1.0), "power"),
+    ("jensen-r", lambda v: gl.jensen_bbl_bound(1.0, v), "power"),
+    ("power-profile", lambda v: gl.PowerProfile(_UNIT_TENT, v), "power"),
+    ("powered-integral", lambda v: gl.powered_integral(_UNIT_TENT, v), "power"),
+    ("p-concavity", lambda v: gl.p_concavity_check(_UNIT_TENT, v), "power"),
+    ("comparison-beta", lambda v: gl.build_comparison_affine(_UNIT_TENT, 1.0, v), "power"),
+    ("classic-n", lambda v: gl.classic_bounds(v), 2),
+    ("revolve-dim", lambda v: gl.revolve(gl.ConstantProfile(1.0, 0.0, 1.0), v), 2),
+    ("ball-section-dim", lambda v: gl.BallSectionProfile(1.0, v), 2),
+    ("ball-volume-n", lambda v: gl.unit_ball_volume(v), 0),
+    ("simpson-levels", lambda v: adaptive_simpson(abs, 0.0, 1.0, max_subdivisions=v), 1),
+    ("superlevel-grid",
+     lambda v: gl.superlevel_measure_concavity_check(_UNIT_TENT, 1.0, grid_size=v), 3),
+    ("comparison-s-grid",
+     lambda v: gl.validate_comparison(_UNIT_TENT, _TENT_COMPARISON, 1.0, 1.0, s_grid_size=v), 1),
+    ("sweep-trials", lambda v: gl.sweep([1.0], [1.0], v, 1), 0),
+    ("sweep-seed", lambda v: gl.sweep([1.0], [1.0], 3, v), 0),
+    ("sweep-m", lambda v: gl.sweep([1.0], [1.0], 3, 1, m=v), 3),
+    ("random-seed", lambda v: gl.random_concave(v, 5), 0),
+    ("random-seed-entry", lambda v: gl.random_concave([v, 2], 5), 0),
+    ("random-m", lambda v: gl.random_concave(1, v), 3),
+    ("config-seed", lambda v: gl.SearchConfig(alpha=1.0, beta=1.0, seed=v), 0),
+    ("config-m", lambda v: gl.SearchConfig(alpha=1.0, beta=1.0, seed=1, m=v), 3),
+    ("config-budget", lambda v: gl.SearchConfig(alpha=1.0, beta=1.0, seed=1, budget=v), 1),
+    ("config-restarts", lambda v: gl.SearchConfig(alpha=1.0, beta=1.0, seed=1, restarts=v), 1),
+    ("mc-seed", lambda v: gl.McSpec(seed=v), 0),
+    ("mc-samples", lambda v: gl.McSpec(seed=1, samples=v), 10_000),
+    ("mc-bins", lambda v: gl.McSpec(seed=1, bins=v), 16),
+    ("tolerance", lambda v: gl.verify_functional(_UNIT_TENT, 1.0, 1.0, tol=v), "tolerance"),
+]
+
+
+def _parameter_cases():
+    for name, call, rule in _PARAMETERS:
+        if rule == "exponent":
+            match, good = "must be finite and non-negative", _REALS
+            bad = {**_NOT_REALS, "negative": -1.0}
+        elif rule == "power":
+            match, good = "must be finite and positive", _REALS
+            bad = {**_NOT_REALS, "zero": 0.0}
+        elif rule == "tolerance":
+            match, good = "tolerance must be a number", (*_REALS, 0, -1.0, math.inf, -math.inf)
+            bad = _NOT_REALS
+        else:
+            match, good = "must be an integer|must be at least|must lie in", (rule, np.int64(rule))
+            bad = {**_NOT_COUNTS, "below": rule - 1}
+        for value_id, value in bad.items():
+            yield pytest.param(call, value, match, good, id=f"{name}-{value_id}")
+
+
+@pytest.mark.parametrize("call,value,match,accepted", _parameter_cases())
+def test_exponents_are_real_numbers_and_not_bools(call, value, match, accepted):
+    """Every exponent, power, count, seed and tolerance of the public surface
+    refuses a value of the wrong type or range with ParameterError, and still
+    takes Python and numpy numbers of the right kind."""
+    with pytest.raises(ParameterError, match=match):
         call(value)
-    for number in (1, 1.0, np.int64(1), np.float32(1.0)):
+    for number in accepted:
         call(number)
 
 
