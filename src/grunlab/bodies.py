@@ -28,7 +28,6 @@ import numpy as np
 from .bounds import classic_bounds, grunbaum_r_bound
 from .errors import (
     DegenerateBodyError,
-    DomainError,
     FloatRangeError,
     GrunlabError,
     ParameterError,
@@ -36,6 +35,8 @@ from .errors import (
     ProfileError,
     check_count,
     check_exponent,
+    check_position,
+    check_tolerance,
 )
 from .profiles import (
     BallSectionProfile,
@@ -45,7 +46,6 @@ from .profiles import (
     IncreasingPowerProfile,
     ProfileKind,
     _certify_p_concave,
-    _check_in_domain,
     _tail_ratio_cut,
     alpha_centroid,
     evaluate,
@@ -603,7 +603,7 @@ class SimplexSplineProfile(ProfileKind):
                                for i in range(0, max(t.size, 1), step)])
 
     def value(self, t):
-        t = _check_in_domain(t, self.domain)
+        t = check_position("point", t, *self.domain)
         out = self._sum(np.ravel(t)).reshape(np.shape(t))
         return float(out) if np.ndim(t) == 0 else out
 
@@ -728,15 +728,9 @@ def exact_section_profile(body, u):
 
 
 def section_volume(body, u, t, mc=None):
-    """vol_{n-1} of the cross-section at <x, u> = t (exact when supported)."""
-    profile = exact_section_profile(body, u)
-    if profile is None:
-        if mc is None:
-            raise GrunlabError(
-                "exact sectioning unsupported for this body/direction; "
-                "pass an McSpec for a slab estimate")
-        profile = mc_section_profile(body, u, mc).profile
-    return float(evaluate(profile, t))
+    """vol_{n-1} of the cross-section at <x, u> = t, read from
+    section_profile(body, u, mc): sampled when an McSpec is given."""
+    return float(evaluate(section_profile(body, u, mc).profile, t))
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +869,7 @@ class HistogramProfile(ProfileKind):
         return 0.5 * (self.edges[:-1] + self.edges[1:])
 
     def value(self, t):
-        t_arr = _check_in_domain(t, self.domain)
+        t_arr = check_position("point", t, *self.domain)
         idx = np.clip(np.searchsorted(self.edges, t_arr, side="right") - 1,
                       0, self.values.size - 1)
         out = self.values[idx]
@@ -969,20 +963,10 @@ class McEstimate:
     meta: dict
 
 
-def _clamped_cut(body, u, c):
-    """(a, b, c) with the cut c clamped into the support [a, b] of <x, u>;
-    a cut within the profiles' slack 1e-12 max(b - a, 1) outside is an end."""
-    a, b = body.support_interval(u)
-    slack = 1e-12 * max(b - a, 1.0)
-    if not (a - slack <= c <= b + slack):
-        raise DomainError(f"cut {c} outside support [{a}, {b}]")
-    return a, b, min(max(c, a), b)
-
-
 def mc_halfspace_fraction(body, u, c, mc):
     """Direct-count estimate of vol(K ∩ {<x,u> <= c}) / vol(K)."""
     u = _unit(u, body.dim)
-    c = _clamped_cut(body, u, c)[2]
+    c = check_position("cut", c, *body.support_interval(u))
     proj = _mc_projections(body, u, mc)[0]
     inside = proj.size
     p = int(np.count_nonzero(proj <= c)) / inside
@@ -1008,10 +992,9 @@ def halfspace_fraction(body, u, c, mc=None):
     """vol(K ∩ {<x,u> <= c}) / vol(K) via the 1-D profile (or MC counting)."""
     if mc is not None:
         return mc_halfspace_fraction(body, u, c, mc).value
-    a, b, c = _clamped_cut(body, u, c)
-    exact = exact_section_profile(body, u)
-    if exact is None:
-        raise GrunlabError("no exact profile; pass an McSpec")
+    a, b = body.support_interval(u)
+    c = check_position("cut", c, a, b)
+    exact = section_profile(body, u).profile
     total = powered_integral(exact, 1.0)
     return powered_integral(exact, 1.0, (a, c)) / total
 
@@ -1058,6 +1041,7 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     raises PreconditionError naming the witness.
     """
     bound = grunbaum_r_bound(p, r)
+    tol = check_tolerance(tol)
     sp = _ratio_profile(body, u, mc)
     if sp.kind == "exact":
         _certify_p_concave(sp.profile, p, "section profile")
@@ -1152,6 +1136,7 @@ def revolve_roundtrip(profile, n, r=1.0, tol=1e-8):
     splits beta-powered mass at its alpha-centroid with beta = n-1 and
     alpha = r(n-1).
     """
+    tol = check_tolerance(tol)
     body = revolve(profile, n)
     axis = body.axis
     lam = r_centroid_point(body, axis, r)

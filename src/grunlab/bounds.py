@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateProfileError, ParameterError, check_count, check_exponent,
-                     check_power)
+                     check_power, check_tolerance)
 from .profiles import (
     _certify_p_concave,
     _tail_ratio_cut,
@@ -246,6 +246,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
     single-crossing structure of h - g on each side of the anchor.
     """
     s_grid_size = check_count("s_grid_size", s_grid_size, 1)
+    tol = check_tolerance(tol)
     a, b = h.domain
     hg = float(evaluate(h, g.anchor))
     total, right = powered_split(h, beta, g.anchor)
@@ -306,6 +307,7 @@ def centroid_domination_check(h, alpha, beta, tol=BOUND_TOL):
     delta - (alpha+1)(delta-gamma)/(alpha+2). Both are evaluated in closed
     form from (gamma, delta) so no quadrature error compounds.
     """
+    tol = check_tolerance(tol)
     g = build_comparison_affine(h, alpha, beta)
     if beta <= alpha:
         regime, threshold = "beta_le_alpha", g.g0(alpha, beta)

@@ -1,5 +1,8 @@
-"""Semantic exception hierarchy shared by all grunlab modules, and the
-checks that raise ParameterError for exponents, powers, counts and seeds."""
+"""Semantic exception hierarchy shared by all grunlab modules, and the five
+checks every parameter and position goes through: check_exponent,
+check_power, check_count and check_tolerance raise ParameterError for
+exponents, powers, counts, seeds and tolerances; check_position raises
+DomainError for a point, interval end or cut outside its interval."""
 
 import math
 import sys
@@ -61,8 +64,8 @@ class FloatRangeError(GrunlabError, OverflowError):
     raises it for them."""
 
 
-# The numeric-parameter rule: every exponent, power, count and seed is checked
-# here. A bool is an int to Python but never a number to grunlab.
+# The numeric-parameter rule: every exponent, power, count, seed and tolerance
+# is checked here. A bool is an int to Python but never a number to grunlab.
 REALS = (float, int, np.floating, np.integer)
 _FLOAT_MAX = sys.float_info.max
 
@@ -93,3 +96,28 @@ def check_count(name, value, lo, hi=None):
         top = f"2^{hi.bit_length() - 1}" if hi > 1024 and hi & (hi - 1) == 0 else hi
         raise ParameterError(f"{name} must lie in [{lo}, {top}), got {value}")
     return value
+
+
+def check_tolerance(value):
+    """float(value); raise ParameterError unless value is an int or float, not
+    a bool, not NaN and not an int past the float range. An infinite or
+    negative tolerance is kept."""
+    if (isinstance(value, bool) or not isinstance(value, REALS)
+            or isinstance(value, int) and abs(value) > _FLOAT_MAX or math.isnan(value)):
+        raise ParameterError(f"tolerance must be a number, got {value!r}")
+    return float(value)
+
+
+def check_position(what, value, a, b):
+    """value clipped into [a, b]: a float for a Python float or int, a float
+    array otherwise. Raise DomainError if value is NaN or lies beyond [a, b]
+    by more than the slack 1e-12 (b - a) plus 4 ulps of max(|a|, |b|)."""
+    slack = 1e-12 * (b - a) + 4.0 * math.ulp(max(abs(a), abs(b)))
+    if isinstance(value, (float, int)):  # the float path takes no numpy call
+        if a - slack <= value <= b + slack:  # NaN fails
+            return min(max(float(value), a), b)
+    else:
+        values = np.asarray(value, dtype=float)
+        if np.all((a - slack <= values) & (values <= b + slack)):
+            return np.clip(values, a, b)[()]
+    raise DomainError(f"{what} {value!r} outside [{a!r}, {b!r}]")

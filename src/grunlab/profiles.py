@@ -46,7 +46,9 @@ from .errors import (
     ProfileError,
     check_count,
     check_exponent,
+    check_position,
     check_power,
+    check_tolerance,
 )
 from .quadrature import unit_ball_volume
 
@@ -236,7 +238,7 @@ class PiecewiseLinear(ProfileKind):
         return np.column_stack([self.ts, self.hs])
 
     def value(self, t):
-        t = _check_in_domain(t, self.domain)
+        t = check_position("point", t, *self.domain)
         return np.interp(t, self.ts, self.hs)
 
     def max_value(self):
@@ -386,7 +388,7 @@ class ConstantProfile(AnalyticProfile):
         return self.gamma, self.delta
 
     def value(self, t):
-        t = _check_in_domain(t, self.domain)
+        t = check_position("point", t, *self.domain)
         if np.ndim(t) == 0:
             return self.c
         return np.full(np.shape(t), self.c)
@@ -451,7 +453,7 @@ class DecreasingPowerProfile(_PowerLawProfile):
     _sign = -1.0
 
     def value(self, t):
-        t = _check_in_domain(t, self.domain)
+        t = check_position("point", t, *self.domain)
         return self.c * np.maximum(self.delta - t, 0.0) ** self.q
 
 
@@ -462,7 +464,7 @@ class IncreasingPowerProfile(_PowerLawProfile):
     _sign = 1.0
 
     def value(self, t):
-        t = _check_in_domain(t, self.domain)
+        t = check_position("point", t, *self.domain)
         return self.c * np.maximum(t - self.gamma, 0.0) ** self.q
 
 
@@ -493,7 +495,7 @@ class BallSectionProfile(AnalyticProfile):
         return self.center - self.radius, self.center + self.radius
 
     def value(self, t):
-        t = _check_in_domain(t, self.domain)
+        t = check_position("point", t, *self.domain)
         x = np.asarray(t, dtype=float) - self.center
         return self._kappa * np.maximum(self.radius ** 2 - x * x, 0.0) ** ((self.dim - 1) / 2.0)
 
@@ -673,33 +675,15 @@ def profile_to_json(profile):
 # operations
 # ---------------------------------------------------------------------------
 
-def _check_in_domain(t, domain):
-    a, b = domain
-    slack = 1e-12 * max(b - a, 1.0)
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all((a - slack <= t_arr) & (t_arr <= b + slack)):  # NaN fails too
-        raise DomainError(f"point {t!r} outside profile domain [{a:g}, {b:g}]")
-    return np.clip(t_arr, a, b)[()] if np.ndim(t) == 0 else np.clip(t_arr, a, b)
-
-
-def _check_not_nan(values, what):
-    """values as a float array; raises DomainError if one of them is NaN."""
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        raise DomainError(f"{what} must not be NaN")
-    return values
-
-
 def _check_interval(h, interval):
     a, b = h.domain
     if interval is None:
         return a, b
-    lo, hi = float(interval[0]), float(interval[1])
-    slack = 1e-12 * max(b - a, 1.0)
-    if not a - slack <= lo <= hi <= b + slack:  # NaN fails too
-        raise DomainError(
-            f"interval [{lo:g}, {hi:g}] not contained in domain [{a:g}, {b:g}]")
-    return max(lo, a), min(hi, b)
+    lo = check_position("interval end", float(interval[0]), a, b)
+    hi = check_position("interval end", float(interval[1]), a, b)
+    if not lo <= hi:
+        raise DomainError(f"interval [{lo!r}, {hi!r}] has its ends reversed")
+    return lo, hi
 
 
 def evaluate(h, t):
@@ -914,6 +898,7 @@ def p_concavity_check(f, p, tol=CONCAVITY_TOL):
     returns the violating triple as witness.
     """
     check_power("p", p)
+    tol = check_tolerance(tol)
     g, power = _innermost(f, p)
     t0, t1, t2 = _concavity_triples(g)
     pts, inverse = np.unique(np.concatenate([t0, t1, t2]), return_inverse=True)
@@ -963,7 +948,7 @@ def superlevel_masses(h, beta, levels):
         raise ProfileError(f"superlevel masses need a piecewise-linear profile, "
                            f"not {type(h).__name__}")
     ts, hs = h.ts, h.hs
-    s = _check_not_nan(levels, "levels")[:, None]
+    s = check_position("levels", levels, -math.inf, math.inf)[:, None]
     t0, t1 = ts[:-1][None, :], ts[1:][None, :]
     h0, h1 = hs[:-1][None, :], hs[1:][None, :]
     slope = (h1 - h0) / (t1 - t0)
@@ -1000,6 +985,7 @@ def superlevel_measure_concavity_check(h, beta, grid_size=512, tol=1e-7):
     Brunn-Minkowski applies. At beta = 1 the two forms coincide.
     """
     check_power("beta", beta)
+    tol = check_tolerance(tol)
     levels = np.linspace(0.0, h.max_value(), check_count("grid_size", grid_size, 3))
     u = superlevel_masses(h, beta, levels) ** (1.0 / (beta + 1.0))
     d2 = u[2:] - 2.0 * u[1:-1] + u[:-2]
@@ -1019,7 +1005,7 @@ def tail_masses(h, beta, cuts):
     """
     check_exponent("beta", beta)
     a, b = h.domain
-    s = np.clip(_check_not_nan(cuts, "cuts"), a, b)
+    s = np.clip(check_position("cuts", cuts, -math.inf, math.inf), a, b)
     g, power = _innermost(h, beta)
     masses, top = g.tails(power, s.ravel())
     with np.errstate(over="ignore"):

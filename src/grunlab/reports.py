@@ -6,10 +6,9 @@ import csv
 import io
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
-from .errors import REALS, FloatRangeError, ParameterError
+from .errors import FloatRangeError, check_tolerance
 
 
 @dataclass(frozen=True)
@@ -54,10 +53,7 @@ def make_report(theorem, ratio, bound, tolerance, provenance, details=None):
     number (ParameterError); an infinite or negative one is kept."""
     if not (math.isfinite(ratio) and math.isfinite(bound)):
         raise FloatRangeError(f"{theorem}: ratio {ratio} or bound {bound} is not finite")
-    if (isinstance(tolerance, bool) or not isinstance(tolerance, REALS)
-            or isinstance(tolerance, int) and abs(tolerance) > sys.float_info.max
-            or math.isnan(tolerance)):
-        raise ParameterError(f"tolerance must be a number, got {tolerance!r}")
+    tolerance = check_tolerance(tolerance)
     slack = ratio - bound
     return TheoremReport(
         theorem=theorem,
@@ -65,7 +61,7 @@ def make_report(theorem, ratio, bound, tolerance, provenance, details=None):
         bound=float(bound),
         slack=float(slack),
         passed=bool(slack >= -tolerance),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         provenance=dict(provenance),
         details=dict(details or {}),
     )

@@ -61,6 +61,12 @@ def test_support_examples():
     assert gl.support_interval(box, [-1.0, 0.0]) == pytest.approx((-1.0, 0.0))
 
 
+def test_section_volume_takes_the_sampled_route_its_mc_spec_names():
+    ball, mc = gl.Ball(np.zeros(3), 1.0), gl.McSpec(3, 20_000, 32)
+    sampled = gl.evaluate(gl.mc_section_profile(ball, E1_3, mc).profile, 0.0)
+    assert gl.section_volume(ball, E1_3, 0.0, mc=mc) == sampled != np.pi
+
+
 def test_section_volume_examples():
     ball = gl.Ball([0.0, 0.0, 0.0], 1.0)
     assert gl.section_volume(ball, E1_3, 0.0) == pytest.approx(np.pi, rel=1e-14)

@@ -256,6 +256,14 @@ def test_non_finite_numbers_are_errors_not_violations(tmp_path, capsys):
         assert message in err
 
 
+def test_revolve_roundtrip_nan_tolerance_is_an_error(tmp_path, capsys):
+    prof = tmp_path / "p.json"
+    prof.write_text(json.dumps({"breakpoints": [[0, 1], [1, 0.5]]}), encoding="utf-8")
+    code, out, err = run(capsys, "revolve-roundtrip", str(prof), "--n", "3", "--tol", "nan")
+    assert code == 1 and out == ""
+    assert err.strip() == "error: tolerance must be a number, got nan"
+
+
 def test_verify_body_asks_for_a_seed_only_where_it_samples(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("GRUNLAB_SEED", raising=False)
     box = tmp_path / "box7.json"  # above R^6 a box has no exact profile off the axes

@@ -5,6 +5,7 @@ antiderivatives for the affine cases, scipy quadrature for everything else.
 """
 
 import dataclasses
+import inspect
 import math
 import random
 import tracemalloc
@@ -61,6 +62,16 @@ def test_evaluate_outside_domain_rejected(affine):
         gl.evaluate(affine, 1.5)
     with pytest.raises(DomainError):
         gl.evaluate(affine, -0.1)
+
+
+def test_the_domain_slack_scales_with_the_domain():
+    tiny = gl.ConcaveProfile([[0.0, 1.0], [1e-20, 0.0]])
+    with pytest.raises(DomainError):  # 10^7 widths outside
+        gl.evaluate(tiny, 1e-13)
+    far = gl.ConcaveProfile([[1e9, 1.0], [1e9 + 1.0, 0.0]])
+    assert gl.evaluate(far, math.nextafter(1e9 + 1.0, math.inf)) == 0.0  # one ulp outside
+    with pytest.raises(DomainError, match=r"\[1000000000\.0, 1000000001\.0\]"):
+        gl.evaluate(far, 1e9 + 1.001)
 
 
 def test_profile_validation_errors():
@@ -322,6 +333,24 @@ _PARAMETERS = [
     ("mc-samples", lambda v: gl.McSpec(seed=1, samples=v), 10_000),
     ("mc-bins", lambda v: gl.McSpec(seed=1, bins=v), 16),
     ("tolerance", lambda v: gl.verify_functional(_UNIT_TENT, 1.0, 1.0, tol=v), "tolerance"),
+    ("report-tolerance", lambda v: gl.make_report("t", 0.5, 0.25, v, {}), "tolerance"),
+    ("p-concavity-tol", lambda v: gl.p_concavity_check(_UNIT_TENT, 1.0, tol=v), "tolerance"),
+    ("superlevel-tol",
+     lambda v: gl.superlevel_measure_concavity_check(_UNIT_TENT, 1.0, tol=v), "tolerance"),
+    ("comparison-tol",
+     lambda v: gl.validate_comparison(_UNIT_TENT, _TENT_COMPARISON, 1.0, 1.0, tol=v),
+     "tolerance"),
+    ("domination-tol",
+     lambda v: gl.centroid_domination_check(_UNIT_TENT, 1.0, 1.0, tol=v), "tolerance"),
+    ("roundtrip-tol",
+     lambda v: gl.revolve_roundtrip(gl.ConstantProfile(1.0, 0.0, 1.0), 3, tol=v), "tolerance"),
+    ("grunbaum-r-tol",  # sampled, so the tolerance reaches max(tol, z sigma)
+     lambda v: gl.verify_grunbaum_r(_TRIANGLE, [1.0, 0.0], 1.0, 1.0,
+                                    mc=gl.McSpec(1, 10_000), tol=v), "tolerance"),
+    ("minkowski-radon-tol",
+     lambda v: gl.verify_minkowski_radon(_TRIANGLE, [1.0, 0.0], tol=v), "tolerance"),
+    ("makai-fradelizi-tol",
+     lambda v: gl.verify_makai_fradelizi(_TRIANGLE, [1.0, 0.0], tol=v), "tolerance"),
 ]
 
 
@@ -352,6 +381,16 @@ def test_exponents_are_real_numbers_and_not_bools(call, value, match, accepted):
         call(value)
     for number in accepted:
         call(number)
+
+
+def test_every_tolerance_parameter_has_a_tolerance_row():
+    """A public function that takes tol= or tolerance= is probed above, so
+    none can skip the tolerance rule."""
+    covered = {name for _, call, rule in _PARAMETERS if rule == "tolerance"
+               for name in call.__code__.co_names}
+    takes_tol = {name for name, obj in vars(gl).items() if inspect.isfunction(obj)
+                 and {"tol", "tolerance"} & set(inspect.signature(obj).parameters)}
+    assert "verify_functional" in takes_tol and not takes_tol - covered, takes_tol - covered
 
 
 def test_alpha_centroid_zero_is_exact_midpoint():
