@@ -421,7 +421,10 @@ class Revolution:
     def contains(self, pts):
         a, b = self.profile.domain
         t = pts[:, 0]
-        f = _masked_profile(self.profile, t, a, b)
+        ok = (t >= a) & (t <= b)
+        f = np.full_like(t, -1.0)
+        if np.any(ok):
+            f[ok] = np.maximum(self.profile.value(np.clip(t[ok], a, b)), 0.0)
         perp = np.linalg.norm(pts[:, 1:], axis=1)
         return self._kappa * perp ** (self.dim - 1) <= f
 
@@ -443,15 +446,6 @@ class Revolution:
     def to_json(self):
         return {"variant": "revolution", "dim": self.dim,
                 "profile": self.profile.to_json()}
-
-
-def _masked_profile(profile, t, a, b):
-    vals = np.zeros_like(t)
-    ok = (t >= a) & (t <= b)
-    if np.any(ok):
-        vals[ok] = np.maximum(np.asarray(profile.value(np.clip(t[ok], a, b)),
-                                         dtype=float), 0.0)
-    return np.where(ok, vals, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +604,16 @@ class SimplexSplineProfile(ProfileKind):
     def max_value(self):
         """f^(1/(n-1)) is concave, so f is unimodal: its maximum lies on one
         of the two knot intervals beside the largest knot value, at a knot or
-        at a root of f' there."""
+        at a root of f' there. f is a polynomial of this degree between knots,
+        so its interpolant at degree + 1 Chebyshev points is f itself."""
         lv = self._levels
         vals = self._sum(lv)
         j = int(np.argmax(vals))
         best = float(vals[j])
-        cheb = 0.5 + 0.5 * np.cos(np.pi * (np.arange(self.degree + 1) + 0.5) / (self.degree + 1))
         for i in (j - 1, j):
             if 0 <= i < lv.size - 1:
                 lo, hi = lv[i], lv[i + 1]
-                ts = lo + (hi - lo) * cheb
-                piece = np.polynomial.Chebyshev.fit(ts, self._sum(ts), self.degree, domain=[lo, hi])
+                piece = np.polynomial.Chebyshev.interpolate(self._sum, self.degree, (lo, hi))
                 roots = np.clip(piece.deriv().roots().real, lo, hi)
                 if roots.size:
                     best = max(best, float(self._sum(roots).max()))
@@ -1045,30 +1038,26 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     sp = _ratio_profile(body, u, mc)
     if sp.kind == "exact":
         _certify_p_concave(sp.profile, p, "section profile")
+        upper, cut = _tail_ratio_cut(sp.profile, r, 1.0)
+        lower = 1.0 - upper
+        prov = integration_provenance(sp.profile, (r, 1.0))
     else:
         ok, worst = _mc_concavity_ok(sp.profile, sp.sigma, p)
         if not ok:
             raise PreconditionError(
                 f"binned profile violates {p}-concavity beyond 3 sigma ({worst:.3e})",
                 witness=worst)
-    if sp.kind == "exact":
-        upper, cut = _tail_ratio_cut(sp.profile, r, 1.0)
-        lower = 1.0 - upper
-        sigma = 0.0
-        tolerance = tol
-        prov = integration_provenance(sp.profile, (r, 1.0))
-    else:
         cut = float(alpha_centroid(sp.profile, r))
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
         upper = 1.0 - lower
-        tolerance = max(tol, _Z99_ONE_SIDED * sigma)
+        tol = max(tol, _Z99_ONE_SIDED * sigma)
         prov = {"kind": "mc", **mc.meta(), "sigma": sigma, "ci": "one-sided 99%"}
     ratio = min(lower, upper)
     prov["params"] = {"p": p, "r": r, "u": list(_unit(u, body.dim))}
     details = {"lower_fraction": lower, "upper_fraction": upper, "cut": cut,
                "regime": bound.regime}
-    return make_report("grunbaum-r", ratio, bound.value, tolerance, prov, details)
+    return make_report("grunbaum-r", ratio, bound.value, tol, prov, details)
 
 
 def verify_minkowski_radon(body, u, tol=1e-9):

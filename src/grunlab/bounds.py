@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateProfileError, ParameterError, check_count, check_exponent,
-                     check_power, check_tolerance)
+                     check_power, check_tolerance, position_slack)
 from .profiles import (
     _certify_p_concave,
     _tail_ratio_cut,
@@ -241,7 +241,8 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
     """Check the defining identities and domination structure of g against h.
 
     Verifies: value match at the anchor; total and right-tail mass equality;
-    the ordering chain a <= gamma <= anchor <= b <= delta; tail domination
+    the ordering chain a <= gamma <= anchor <= b <= delta, each step up to
+    position_slack(a, b, tol); tail domination
     int_s^b h^beta <= int_s^delta g^beta on an s-grid over [a, delta]; and the
     single-crossing structure of h - g on each side of the anchor.
     """
@@ -254,7 +255,7 @@ def validate_comparison(h, g, alpha, beta, s_grid_size=128, tol=1e-8):
     total_mass_error = abs(g.powered_total(beta) - total) / max(total, 1e-300)
     tail_mass_error = abs(float(g.powered_tail(beta, g.anchor)) - right) / max(total, 1e-300)
 
-    slack = tol * max(b - a, 1.0)
+    slack = position_slack(a, b, tol)
     ordering_ok = bool(
         g.gamma >= a - slack
         and g.anchor >= g.gamma - slack

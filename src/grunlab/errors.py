@@ -108,11 +108,16 @@ def check_tolerance(value):
     return float(value)
 
 
+def position_slack(a, b, rel):
+    """How far a position may lie beyond [a, b]: rel (b - a) + 4 ulps of max(|a|, |b|)."""
+    return rel * (b - a) + 4.0 * math.ulp(max(abs(a), abs(b)))
+
+
 def check_position(what, value, a, b):
     """value clipped into [a, b]: a float for a Python float or int, a float
     array otherwise. Raise DomainError if value is NaN or lies beyond [a, b]
-    by more than the slack 1e-12 (b - a) plus 4 ulps of max(|a|, |b|)."""
-    slack = 1e-12 * (b - a) + 4.0 * math.ulp(max(abs(a), abs(b)))
+    by more than position_slack(a, b, 1e-12)."""
+    slack = position_slack(a, b, 1e-12)
     if isinstance(value, (float, int)):  # the float path takes no numpy call
         if a - slack <= value <= b + slack:  # NaN fails
             return min(max(float(value), a), b)

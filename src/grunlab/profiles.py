@@ -338,16 +338,6 @@ class AnalyticProfile(ProfileKind):
 
     kind = None
 
-    @property
-    def domain(self):
-        raise NotImplementedError
-
-    def value(self, t):
-        raise NotImplementedError
-
-    def max_value(self):
-        raise NotImplementedError
-
     def _check_finite(self):
         """Raise ProfileError unless every parameter is finite and the maximum
         is a positive float, the scale that integrals names."""
@@ -423,18 +413,22 @@ class _PowerLawProfile(AnalyticProfile):
         self.gamma = float(gamma)
         self.delta = float(delta)
         self.q = float(q)
+        self._end = self.gamma if self._sign > 0 else self.delta
         self._check_finite()
 
     @property
     def domain(self):
         return self.gamma, self.delta
 
+    def value(self, t):
+        t = check_position("point", t, *self.domain)
+        return self.c * np.maximum(self._sign * (t - self._end), 0.0) ** self.q
+
     def max_value(self):
         return self.c * (self.delta - self.gamma) ** self.q
 
     def integrals(self, beta, lo, hi):
-        length = self.delta - self.gamma
-        end = self.gamma if self._sign > 0 else self.delta
+        length, end = self.delta - self.gamma, self._end
         s0, s1 = sorted((self._sign * (lo - end) / length, self._sign * (hi - end) / length))
         m = self.q * beta
         mass = (s1 ** (m + 1.0) - s0 ** (m + 1.0)) / (m + 1.0)
@@ -452,20 +446,12 @@ class DecreasingPowerProfile(_PowerLawProfile):
     kind = "decreasing-power"
     _sign = -1.0
 
-    def value(self, t):
-        t = check_position("point", t, *self.domain)
-        return self.c * np.maximum(self.delta - t, 0.0) ** self.q
-
 
 class IncreasingPowerProfile(_PowerLawProfile):
     """h(t) = c (t - gamma)^q on [gamma, delta]; vanishes at the left endpoint."""
 
     kind = "increasing-power"
     _sign = 1.0
-
-    def value(self, t):
-        t = check_position("point", t, *self.domain)
-        return self.c * np.maximum(t - self.gamma, 0.0) ** self.q
 
 
 class BallSectionProfile(AnalyticProfile):
@@ -941,14 +927,15 @@ def superlevel_masses(h, beta, levels):
 
     This is the mass, under the weight y^{beta-1} dy dt, of the part of the
     hypograph of h lying above height s. Exact per segment for piecewise-
-    linear h, the only kind it takes; vectorized over levels.
+    linear h, the only kind it takes; W takes the shape of levels.
     """
     check_power("beta", beta)
     if not isinstance(h, PiecewiseLinear):
         raise ProfileError(f"superlevel masses need a piecewise-linear profile, "
                            f"not {type(h).__name__}")
     ts, hs = h.ts, h.hs
-    s = check_position("levels", levels, -math.inf, math.inf)[:, None]
+    levels = check_position("levels", levels, -math.inf, math.inf)
+    s = np.ravel(levels)[:, None]
     t0, t1 = ts[:-1][None, :], ts[1:][None, :]
     h0, h1 = hs[:-1][None, :], hs[1:][None, :]
     slope = (h1 - h0) / (t1 - t0)
@@ -963,7 +950,7 @@ def superlevel_masses(h, beta, levels):
     ha = np.maximum(h0 + slope * (lo - t0), s)
     hb = np.maximum(h0 + slope * (hi - t0), s)
     mass = _segments(ha, hb, hi - lo, beta, False)[0] - s ** beta * (hi - lo)
-    return np.maximum(mass.sum(axis=1), 0.0) / beta
+    return (np.maximum(mass.sum(axis=1), 0.0) / beta).reshape(np.shape(levels))[()]
 
 
 def superlevel_measure_concavity_check(h, beta, grid_size=512, tol=1e-7):

@@ -176,19 +176,44 @@ class BoxSections:
 
 
 @lru_cache(maxsize=None)
-def _open_rule(degree):
-    """Nodes and weights on [0, 1] of the interpolatory rule on degree + 1
-    equally spaced interior points, exact for polynomials up to that degree."""
+def _open_nodes(degree):
+    """degree + 1 equally spaced interior points of [0, 1] and their Lagrange
+    basis polynomials, lowest power first."""
     xs = [Fraction(2 * k + 1, 2 * degree + 2) for k in range(degree + 1)]
-    weights = []
+    bases = []
     for k, xk in enumerate(xs):
-        poly = [Fraction(1)]  # the Lagrange basis polynomial, lowest power first
+        poly = [Fraction(1)]
         for j, xj in enumerate(xs):
             if j != k:
                 poly = [(lower - xj * same) / (xk - xj)
                         for lower, same in zip([Fraction(0)] + poly, poly + [Fraction(0)])]
-        weights.append(sum(c / (i + 1) for i, c in enumerate(poly)))
-    return xs, weights
+        bases.append(poly)
+    return xs, bases
+
+
+@lru_cache(maxsize=None)
+def _open_rule(degree):
+    """Nodes and weights on [0, 1] of the interpolatory rule on _open_nodes,
+    exact for polynomials up to that degree."""
+    xs, bases = _open_nodes(degree)
+    return xs, [sum(c / (i + 1) for i, c in enumerate(poly)) for poly in bases]
+
+
+def largest_section(sections):
+    """max f, exact but for the rounding of the roots: the largest section at
+    a knot or at a real root in (0, 1) of the derivative of the rational
+    interpolant of f at _open_nodes on a knot interval, which is f there."""
+    knots = sorted(set(sections.knots))
+    best = max(sections.section(k) for k in knots)
+    xs, bases = _open_nodes(sections.n - 1)
+    for p, q in zip(knots[:-1], knots[1:]):
+        ys = [sections.section(p + (q - p) * x) for x in xs]
+        poly = [sum(y * basis[i] for y, basis in zip(ys, bases)) for i in range(len(xs))]
+        slope = [float(i * c) for i, c in enumerate(poly)][:0:-1]  # highest power first
+        for root in np.roots(slope):
+            if abs(root.imag) <= 1e-12 and 0.0 < root.real < 1.0:
+                best = max(best, sections.section(p + (q - p) * Fraction(float(root.real))))
+    return float(best)
 
 
 def exact_section_integrals(sections, e, lo=None, hi=None):

@@ -32,6 +32,7 @@ from conftest import (
     SimplexSections,
     chord_length,
     exact_section_integrals,
+    largest_section,
     load_fixture,
     random_convex_polygon,
     random_polytope3d,
@@ -1054,13 +1055,17 @@ def _layout_cases():
     cases = [(f"ball{n}", gl.Ball(rng.normal(size=n), rng.uniform(0.5, 2.0)))
              for n in range(2, 8)]
     lo = rng.normal(size=3)
-    return cases + [
+    cases += [
         ("box3", gl.Box(lo, lo + rng.uniform(0.5, 2.0, 3))),
         ("simplex4", gl.Simplex(rng.normal(size=(5, 4)))),
         ("polygon", random_convex_polygon(rng)),
         ("polytope3d", random_polytope3d(rng)),
         ("cone3", gl.body_from_json(load_fixture("cone3.json"))),
     ]
+    # sections f = tent^3 on a random axis interval: f^(1/3) is concave
+    axis = np.sort(rng.uniform(-1.0, 1.0, 3))
+    tent = gl.ConcaveProfile(np.column_stack([axis, [0.2, 1.0, 0.1]]))
+    return cases + [("revolution4", gl.revolve(gl.power_profile(tent, 3.0), 4))]
 
 
 LAYOUT_CASES = _layout_cases()
@@ -1102,6 +1107,24 @@ def _oracle_cases():
 
 
 ORACLE_CASES = _oracle_cases()
+
+
+def test_spline_maximum_matches_the_rational_sections():
+    rng = np.random.default_rng(61)
+    for i in range(20):
+        n = 3 + i % 3
+        u = _rand_unit(rng, n)
+        if i % 2:
+            lo = 0.5 * rng.normal(size=n)
+            hi = lo + rng.uniform(0.5, 1.5, n)
+            body, oracle = gl.Box(lo, hi), BoxSections(lo, hi, u)
+        else:
+            verts = rng.normal(size=(n + 1, n))
+            body, oracle = gl.Simplex(verts), SimplexSections(verts, u)
+        prof = gl.exact_section_profile(body, u)
+        assert isinstance(prof, SimplexSplineProfile)
+        want = largest_section(oracle)
+        assert abs(prof.max_value() - want) <= 1e-13 * want, (i, type(body).__name__, n)
 
 
 @pytest.mark.parametrize("name,body,u,oracle", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])

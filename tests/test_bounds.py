@@ -1,5 +1,7 @@
 """Sharp constants, theorem verdicts, and the comparison-affine construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -244,6 +246,17 @@ def test_comparison_on_analytic_profile():
 def test_comparison_degenerate_profile_rejected():
     with pytest.raises(ParameterError):
         gl.build_comparison_affine(gl.ConcaveProfile([[0, 1], [1, 0]]), 1.0, 0.0)
+
+
+def test_comparison_ordering_slack_scales_with_the_domain():
+    h = gl.ConcaveProfile([[0.0, 1.0], [1e-20, 0.5]])
+    g = gl.build_comparison_affine(h, 1.0, 1.0)
+    assert gl.validate_comparison(h, g, 1.0, 1.0).ordering_ok
+    # tol (b - a) is 1e-28: gamma half of it left of a passes, twice it fails,
+    # and 1e-9 left of a (1e11 widths) fails
+    for gamma, ok in ((-5e-29, True), (-2e-28, False), (g.gamma - 1e-9, False)):
+        moved = dataclasses.replace(g, gamma=gamma)
+        assert gl.validate_comparison(h, moved, 1.0, 1.0).ordering_ok is ok, gamma
 
 
 @pytest.mark.parametrize("size", [0, -3, 0.5, np.nan, np.inf])

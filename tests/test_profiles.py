@@ -819,9 +819,38 @@ def test_superlevel_power_concavity_fails_below_one():
     assert superlevel_sigma_violation(affine, 0.5) <= 1e-7
 
 
+def test_superlevel_masses_keep_the_shape_of_their_levels():
+    h = gl.ConcaveProfile([[0.0, 0.2], [0.3, 1.0], [1.0, 0.1]])
+    w = gl.superlevel_masses(h, 1.0, 0.5)
+    # {h >= 1/2} is [0.3 - 0.15/0.8, 0.3 + 0.35/0.9], under a triangle of height 1/2
+    assert isinstance(w, float) and w == pytest.approx(0.25 * (0.15 / 0.8 + 0.35 / 0.9), rel=1e-15)
+    grid = gl.superlevel_masses(h, 1.0, [[0.5, 0.2], [0.0, 1.0]])
+    assert grid.shape == (2, 2) and grid[0, 0] == w
+    assert np.array_equal(grid.ravel(), gl.superlevel_masses(h, 1.0, [0.5, 0.2, 0.0, 1.0]))
+    assert gl.superlevel_masses(h, 1.0, [[0.5]]).shape == (1, 1)
+
+
 # ---------------------------------------------------------------------------
 # power wrappers, reflection, serialization
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", [gl.DecreasingPowerProfile, gl.IncreasingPowerProfile])
+def test_power_law_value_is_its_closed_form_bit_for_bit(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        c, gamma, q = rng.uniform(0.1, 3.0), rng.uniform(-2.0, 0.0), rng.uniform(0.1, 5.0)
+        delta = gamma + rng.uniform(0.1, 3.0)
+        h = kind(c, gamma, delta, q)
+        if kind is gl.DecreasingPowerProfile:
+            def closed(t):
+                return c * (delta - t) ** q
+        else:
+            def closed(t):
+                return c * (t - gamma) ** q
+        ts = np.concatenate([[gamma, delta], rng.uniform(gamma, delta, 30)])
+        assert _bits(h.value(ts)) == _bits(closed(ts))
+        for t in ts.tolist():
+            assert _bits([h.value(t)]) == _bits([closed(t)])
 
 def test_power_profile_collapse_and_delegation(affine):
     p = gl.power_profile(gl.DecreasingPowerProfile(2.0, 0.0, 1.0, 1.0), 3.0)
