@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import statistics
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -943,10 +942,9 @@ def _ratio_profile(body, u, mc):
     ratio reads: sampled, each bin's share of the samples, so no volume is
     needed and none can leave the float range."""
     if mc is None:
-        return section_profile(body, u)
-    u = _unit(u, body.dim)
-    edges, p, sigma = _mc_shares(body, u, mc)
-    return SectionProfile(u, HistogramProfile(edges, p), "mc", sigma=sigma, meta=mc.meta())
+        return section_profile(body, u).profile
+    edges, p, _ = _mc_shares(body, _unit(u, body.dim), mc)
+    return HistogramProfile(edges, p)
 
 
 @dataclass(frozen=True)
@@ -977,7 +975,7 @@ def r_centroid_point(body, u, r, mc=None):
     a, b = body.support_interval(u)
     if r == 0.0:
         return 0.5 * (a + b)
-    lam = alpha_centroid(_ratio_profile(body, u, mc).profile, r)
+    lam = alpha_centroid(_ratio_profile(body, u, mc), r)
     return float(min(max(lam, a), b))
 
 
@@ -1001,60 +999,42 @@ def centroid(body):
 # geometric theorem verifiers
 # ---------------------------------------------------------------------------
 
-def _mc_concavity_ok(profile, sigma, p):
-    """Noise-aware p-concavity test for binned profiles.
-
-    Each triple's chord violation is compared against its propagated noise;
-    the per-triple threshold is Bonferroni-adjusted so the whole-profile test
-    has the false-alarm rate of a single 3-sigma test.
-    """
-    t = profile.centers
-    v = profile.values
-    keep = v > 3.0 * sigma
-    t, v, s = t[keep], v[keep], sigma[keep]
-    if t.size < 3:
-        return True, 0.0
-    g = v ** p
-    gs = p * v ** (p - 1.0) * s
-    mid = g[1:-1]
-    chord = 0.5 * (g[:-2] + g[2:])
-    noise = np.sqrt(gs[1:-1] ** 2 + 0.25 * gs[:-2] ** 2 + 0.25 * gs[2:] ** 2)
-    single_3sigma_tail = 0.0013498980316300933
-    z = max(3.0, -statistics.NormalDist().inv_cdf(single_3sigma_tail / (t.size - 2)))
-    viol = chord - mid - z * noise
-    worst = float(viol.max())
-    return worst <= 0.0, worst
-
-
 def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     """Halfspace-mass bound at the r-powered centroid for a p-concave profile.
 
-    Reports min(lower, upper) side against the sharp constant; the hypothesis
-    (p-concavity of the section profile) is certified first and a failure
-    raises PreconditionError naming the witness.
+    Reports min(lower, upper) side against the sharp constant. The hypothesis,
+    p-concavity of the section profile, is Brunn's principle for every convex
+    body in R^n at p <= 1/(n - 1) (Gardner, "The Brunn-Minkowski inequality",
+    Bull. AMS 39, 2002), so no number checks it there. Above that bound the
+    exact route certifies it and raises PreconditionError naming the witness;
+    the sampled route has no sound certificate and raises PreconditionError
+    before it draws.
     """
     bound = grunbaum_r_bound(p, r)
     tol = check_tolerance(tol)
-    sp = _ratio_profile(body, u, mc)
-    if sp.kind == "exact":
-        _certify_p_concave(sp.profile, p, "section profile")
-        upper, cut = _tail_ratio_cut(sp.profile, r, 1.0)
+    n = body.dim
+    brunn = n == 1 or p <= 1.0 / (n - 1)
+    if mc is None:
+        profile = section_profile(body, u).profile
+        if not brunn:
+            _certify_p_concave(profile, p, "section profile")
+        upper, cut = _tail_ratio_cut(profile, r, 1.0)
         lower = 1.0 - upper
-        prov = integration_provenance(sp.profile, (r, 1.0))
+        prov = integration_provenance(profile, (r, 1.0))
+    elif not brunn:
+        raise PreconditionError(
+            f"a sampled verdict needs p <= 1/(n - 1) = {1.0 / (n - 1):g}, Brunn's bound for a "
+            f"convex body in R^{n}; p = {p:g} has no sound sampled certificate")
     else:
-        ok, worst = _mc_concavity_ok(sp.profile, sp.sigma, p)
-        if not ok:
-            raise PreconditionError(
-                f"binned profile violates {p}-concavity beyond 3 sigma ({worst:.3e})",
-                witness=worst)
-        cut = float(alpha_centroid(sp.profile, r))
+        cut = float(alpha_centroid(_ratio_profile(body, u, mc), r))
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
         upper = 1.0 - lower
         tol = max(tol, _Z99_ONE_SIDED * sigma)
         prov = {"kind": "mc", **mc.meta(), "sigma": sigma, "ci": "one-sided 99%"}
     ratio = min(lower, upper)
-    prov["params"] = {"p": p, "r": r, "u": list(_unit(u, body.dim))}
+    prov["hypothesis"] = "brunn" if brunn else "certified"
+    prov["params"] = {"p": p, "r": r, "u": list(_unit(u, n))}
     details = {"lower_fraction": lower, "upper_fraction": upper, "cut": cut,
                "regime": bound.regime}
     return make_report("grunbaum-r", ratio, bound.value, tol, prov, details)

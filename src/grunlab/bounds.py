@@ -102,13 +102,15 @@ def jensen_bbl_bound(p, r):
 
 
 def classic_bounds(n):
-    """The three classical constants in dimension n >= 2."""
+    """The three classical constants in dimension n >= 2, from the functional
+    bound at alpha = a = n - 1: at beta = a, at beta = 0, and the a-th power
+    of its root limit."""
     n = check_count("n", n, 2)
-    ratio = n / (n + 1.0)
+    a = n - 1
     return {
-        "grunbaum": SharpBound(ratio ** n, "grunbaum_classic", {"n": n}),
-        "minkowski_radon": SharpBound(1.0 / (n + 1.0), "minkowski_radon", {"n": n}),
-        "makai_fradelizi": SharpBound(ratio ** (n - 1), "makai_fradelizi", {"n": n}),
+        "grunbaum": SharpBound(functional_bound(a, a).value, "grunbaum_classic", {"n": n}),
+        "minkowski_radon": SharpBound(functional_bound(a, 0).value, "minkowski_radon", {"n": n}),
+        "makai_fradelizi": SharpBound(functional_root_limit(a) ** a, "makai_fradelizi", {"n": n}),
     }
 
 

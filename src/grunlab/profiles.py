@@ -387,7 +387,7 @@ class ConstantProfile(AnalyticProfile):
         return self.c
 
     def integrals(self, beta, lo, hi):
-        return hi - lo, 0.5 * (hi * hi - lo * lo), self.c
+        return hi - lo, (hi - lo) * (0.5 * (lo + hi)), self.c
 
     def _params(self):
         return {"c": self.c, "gamma": self.gamma, "delta": self.delta}

@@ -474,6 +474,19 @@ def test_brunn_concavity_on_exact_profiles(cone3):
         (random_convex_polygon(rng), _rand_unit(rng, 2)),
         (gl.Simplex([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]), _rand_unit(rng, 3)),
     ]
+    # no verdict at p <= 1/(n - 1) runs this certificate, so a fault in
+    # building a profile fails here: seeded bodies of every kind
+    cases += [(gl.Simplex(rng.normal(size=(n + 1, n))), _rand_unit(rng, n)) for n in range(2, 7)]
+    for n in (4, 5, 6):  # Kuhn-spline profiles
+        lo = rng.normal(size=n)
+        cases.append((gl.Box(lo, lo + rng.uniform(0.5, 2.0, n)), _rand_unit(rng, n)))
+    axis = np.sort(rng.uniform(-1.0, 1.0, 3))
+    tent = gl.ConcaveProfile(np.column_stack([axis, [0.2, 1.0, 0.1]]))
+    revolution = gl.revolve(gl.power_profile(tent, 3.0), 4)
+    cases += [(random_polytope3d(rng), _rand_unit(rng, 3)),
+              (random_convex_polygon(rng), _rand_unit(rng, 2)),
+              (gl.Ball(rng.normal(size=6), rng.uniform(0.5, 2.0)), _rand_unit(rng, 6)),
+              (revolution, revolution.axis)]
     for body, u in cases:
         prof = gl.exact_section_profile(body, u)
         assert gl.p_concavity_check(prof, 1.0 / (body.dim - 1), tol=1e-9).ok
@@ -774,8 +787,8 @@ def test_seeds_at_the_ends_of_the_range_sample_end_to_end(cone3):
 
 
 def test_ratio_routes_sample_a_box_whose_volume_underflows():
-    """Centroids and the sampled concavity test do not read the profile's
-    scale, so the ratio routes bin each sample's share and need no volume.
+    """Centroids and ratios do not read the profile's scale, so the ratio
+    routes bin each sample's share and need no volume.
     A cube of side 1e-110 (volume 1e-330, which is 0 in floats) gets the
     exact route's centroid and a verdict; a dyadic rescaling of the unit cube
     moves the sampled centroid and cut by exactly the scale. The binned
@@ -1016,6 +1029,55 @@ def test_sampled_centroid_rejects_r_before_drawing(monkeypatch):
     for r in (np.nan, np.inf, -1.0):
         with pytest.raises(ParameterError):
             gl.r_centroid_point(MC_SIMPLEX3, MC_U3, r, mc=gl.McSpec(seed=3, samples=20_000))
+    assert passes == []
+
+
+# the section hypothesis is Brunn's principle at p <= 1/(n - 1)
+BRUNN_WITNESS = (gl.Ball([0.3373219761261745, 0.2969922350001155, 0.3257752605332605], 1.0),
+                 [-0.7700468314458669, -0.4425105237384622, -0.45957840871922223],
+                 gl.McSpec(seed=4566305126165134251, samples=32768))
+
+
+def test_a_sampled_verdict_on_a_convex_body_is_not_refused():
+    ball, u, mc = BRUNN_WITNESS
+    rep = gl.verify_grunbaum_r(ball, u, 0.5, 1.0, mc=mc)
+    assert rep.passed and rep.provenance["hypothesis"] == "brunn"
+
+
+def test_no_verdict_certifies_at_or_below_brunns_bound(monkeypatch):
+    from grunlab import profiles
+
+    def certify(f, p, tol=None):
+        raise AssertionError("a verdict ran the concavity certificate")
+
+    rng = np.random.default_rng(43)
+    lo = rng.normal(size=4)
+    cases = [(gl.Simplex(rng.normal(size=(4, 3))), _rand_unit(rng, 3)),
+             (gl.Box(lo, lo + rng.uniform(0.5, 2.0, 4)), _rand_unit(rng, 4)),
+             (gl.Ball(rng.normal(size=6), 1.0), _rand_unit(rng, 6)),
+             (gl.Box([0.3], [1.7]), [1.0])]
+    mc = gl.McSpec(seed=5, samples=20_000)
+    monkeypatch.setattr(profiles, "p_concavity_check", certify)
+    for body, u in cases:
+        n = body.dim
+        brunn = 1.0 / (n - 1) if n > 1 else 8.0  # every p counts in R^1
+        for p in (0.5 * brunn, brunn):
+            for rep in (gl.verify_grunbaum_r(body, u, p, 1.0),
+                        gl.verify_grunbaum_r(body, u, p, 1.0, mc=mc)):
+                assert rep.passed and rep.provenance["hypothesis"] == "brunn"
+
+
+def test_above_brunns_bound_exact_verdicts_certify_and_sampled_ones_refuse(monkeypatch):
+    ball = gl.Ball([0.2, -0.1, 0.3], 1.0)
+    rep = gl.verify_grunbaum_r(ball, E1_3, 1.0, 1.0)  # pi (1 - t^2) is concave
+    assert rep.passed and rep.provenance["hypothesis"] == "certified"
+    simplex = gl.Simplex(np.random.default_rng(3).normal(size=(4, 3)))
+    with pytest.raises(PreconditionError, match="not 1-concave"):
+        gl.verify_grunbaum_r(simplex, E1_3, 1.0, 1.0)
+    passes = _counted_passes(monkeypatch)
+    for body in (ball, simplex):
+        with pytest.raises(PreconditionError, match=r"p <= 1/\(n - 1\) = 0\.5, Brunn's bound"):
+            gl.verify_grunbaum_r(body, E1_3, 0.75, 1.0, mc=gl.McSpec(seed=3, samples=20_000))
     assert passes == []
 
 

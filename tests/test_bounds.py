@@ -61,6 +61,11 @@ def test_classic_bounds():
         rel=1e-15)
     # same-base algebra: grunbaum = makai_fradelizi * n/(n+1)
     assert two["grunbaum"] == pytest.approx(two["makai_fradelizi"] * 2.0 / 3.0, rel=1e-15)
+    for n in range(2, 40):  # bitwise the closed forms
+        ratio = n / (n + 1.0)
+        assert {k: v.value for k, v in gl.classic_bounds(n).items()} == {
+            "grunbaum": ratio ** n, "minkowski_radon": 1.0 / (n + 1.0),
+            "makai_fradelizi": ratio ** (n - 1)}
     with pytest.raises(ParameterError):
         gl.classic_bounds(1)
 
@@ -173,8 +178,9 @@ def test_a_concave_profile_is_certified_once_when_built(monkeypatch):
                   gl.PowerProfile(h, 0.5)):
         with pytest.raises(_Certified):
             gl.verify_functional(other, 1.0, 1.0)
-    with pytest.raises(_Certified):  # a ConcaveProfile at p != 1
-        gl.verify_grunbaum_r(triangle, [1.0, 2.0], 0.5, 1.0)
+    assert gl.verify_grunbaum_r(triangle, [1.0, 2.0], 0.5, 1.0).passed  # Brunn's principle
+    with pytest.raises(_Certified):  # a ConcaveProfile above Brunn's bound 1/(n - 1)
+        gl.verify_grunbaum_r(triangle, [1.0, 2.0], 2.0, 1.0)
 
 
 def test_verify_functional_report_serialization(affine):

@@ -139,6 +139,14 @@ def test_verify_body_mc_reports_seed(capsys):
     assert data["provenance"]["samples"] == 50000
 
 
+def test_verify_body_sampled_above_brunns_bound_is_an_error(capsys):
+    code, out, err = run(capsys, "verify-body", FIXTURES["ball3"], "--theorem", "grunbaum-r",
+                         "--u", "0,1,0", "--p", "1", "--r", "1",
+                         "--seed", "1", "--samples", "20000")
+    assert code == 1 and out == ""
+    assert "1/(n - 1) = 0.5, Brunn's bound" in err
+
+
 def test_search_requires_seed(capsys, monkeypatch):
     monkeypatch.delenv("GRUNLAB_SEED", raising=False)
     code, _, err = run(capsys, "search", "--alpha", "1", "--beta", "1")

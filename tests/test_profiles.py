@@ -1015,6 +1015,9 @@ def test_ratio_finite_and_unchanged_at_extreme_scales():
         assert abs(gl.tail_mass_ratio(h, 2.0, 3.0) - base) <= 1e-12
         assert abs(gl.tail_ratio_grid(ts, scale * hs, 2.0, 3.0) - base) <= 1e-12
         assert gl.verify_functional(h, 2.0, 3.0).ratio == gl.tail_mass_ratio(h, 2.0, 3.0)
+    far = gl.ConstantProfile(1.0, 1e154, 2e154)  # hi * hi leaves the float range
+    assert gl.tail_mass_ratio(far, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert gl.alpha_centroid(far, 1.0) == 1.5e154
 
 
 # ---------------------------------------------------------------------------
