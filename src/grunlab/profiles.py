@@ -72,8 +72,8 @@ _TAIL_BLOCK = 1 << 14  # numbers per block of a piecewise-linear tails pass
 # ---------------------------------------------------------------------------
 
 def _horner(coeffs, x):
-    acc = coeffs[0] * x + coeffs[1]
-    for c in coeffs[2:]:
+    acc = coeffs[0]
+    for c in coeffs[1:]:
         acc = acc * x + c
     return acc
 
@@ -81,12 +81,16 @@ def _horner(coeffs, x):
 @lru_cache(maxsize=64)
 def _series(e):
     """Midpoint-series coefficients in d^2, highest power first: C(e, k) / (k + 1)
-    for even k <= 6 (mass) and C(e, k) / (k + 2) for odd k <= 7 (moment)."""
+    for even k <= 6 (mass) and C(e, k) / (k + 2) for odd k <= 7 (moment), and
+    whether they are the whole series. At integer e they stop at k = e, since
+    C(e, k) = 0 for k > e; for e <= 7 nothing is left out."""
+    integer = e % 1.0 == 0.0
+    top = e if integer else 7
     binom = [1.0]
     for k in range(1, 8):
         binom.append(binom[-1] * (e - k + 1) / k)
-    return (tuple(binom[k] / (k + 1) for k in (6, 4, 2, 0)),
-            tuple(binom[k] / (k + 2) for k in (7, 5, 3, 1)))
+    return (tuple(binom[k] / (k + 1) for k in (6, 4, 2, 0) if k <= top),
+            tuple(binom[k] / (k + 2) for k in (7, 5, 3, 1) if k <= top), integer and e <= 7)
 
 
 def _segments(ha, hb, dt, e, moment):
@@ -94,15 +98,18 @@ def _segments(ha, hb, dt, e, moment):
 
     h runs from ha to hb over a width dt and t_mid is the segment's midpoint;
     the centred moment is None unless moment is set. Ordinates are clamped at
-    0. With s = (ha + hb) / 2 and d = (hb - ha) / (ha + hb), a segment with
-    |d| (e + 2) <= _SERIES_CUT uses the midpoint series
+    0. With s = (ha + hb) / 2 and d = (hb - ha) / (ha + hb), the midpoint series
 
         mass    = dt s^e          sum_{k even} C(e, k) d^k / (k + 1)
         centred = dt^2 s^e / 2    sum_{k odd}  C(e, k) d^k / (k + 2)
 
-    through d^7; there the closed form cancels. For e <= 100 the first
-    omitted terms stay below 1.2e-16 of the mass and 5e-15 of the centred
-    moment. Other segments use the closed form written in
+    runs through d^7. At integer e = 1 ... 7 it is exact, since C(e, k) = 0
+    for k > e, and every segment takes it, d = +-1 included: its mass terms
+    are non-negative and its centred terms have the sign of d, so nothing
+    cancels. At other e only segments with |d| (e + 2) <= _SERIES_CUT take
+    it, since there the closed form cancels; for e <= 100 the first omitted
+    terms stay below 1.2e-16 of the mass and 5e-15 of the centred moment.
+    The other segments use the closed form written in
     r = |hb - ha| / max(ha, hb) with log1p and expm1, which keeps it accurate
     down to the cut and on segments that reach zero. e = 0 integrates the
     indicator of {h > 0}: dt on a segment, 0 where both ends are 0, with a
@@ -117,23 +124,25 @@ def _segments(ha, hb, dt, e, moment):
     s2 = ha + hb
     dh = hb - ha
     d = dh / np.where(s2 > 0.0, s2, 1.0)
-    near = np.abs(d) * (e + 2.0) <= _SERIES_CUT
-    even, odd = _series(e)
+    even, odd, exact = _series(e)
     d2 = d * d
     mid_e = (0.5 * s2) ** e
+    mass = mid_e * _horner(even, d2)
+    centred = 0.5 * mid_e * d * _horner(odd, d2) if moment else None
+    if exact:
+        return dt * mass, None if centred is None else dt * dt * centred
+    near = np.abs(d) * (e + 2.0) <= _SERIES_CUT
     hi = np.maximum(ha, hb)
     r = np.where(near, 0.5, np.abs(dh) / np.where(near, 1.0, hi))
     log_ratio = np.log1p(-np.minimum(r, _R_MAX))  # log(min(ha, hb) / max(ha, hb))
     hi_e = hi ** e
     g1 = -np.expm1((e + 1.0) * log_ratio) / ((e + 1.0) * r)
-    mass = dt * np.where(near, mid_e * _horner(even, d2), hi_e * g1)
-    if not moment:
-        return mass, None
-    # int (t - t_mid) h^e = (dt / dh) (int h^(e+1) - s int h^e)
-    g2 = -np.expm1((e + 2.0) * log_ratio) / ((e + 2.0) * r)
-    closed = np.copysign(hi_e * (g2 - (1.0 - 0.5 * r) * g1) / r, dh)
-    centred = dt * dt * np.where(near, 0.5 * mid_e * d * _horner(odd, d2), closed)
-    return mass, centred
+    if moment:
+        # int (t - t_mid) h^e = (dt / dh) (int h^(e+1) - s int h^e)
+        g2 = -np.expm1((e + 2.0) * log_ratio) / ((e + 2.0) * r)
+        closed = np.copysign(hi_e * (g2 - (1.0 - 0.5 * r) * g1) / r, dh)
+        centred = dt * dt * np.where(near, centred, closed)
+    return dt * np.where(near, mass, hi_e * g1), centred
 
 
 def _mass_moment(ts, hs, e):
@@ -153,15 +162,18 @@ def _mass_tail(ts, hs, e, cut):
     """Row-wise int_a^b h^e and int_cut^b h^e for cuts (B,) inside the domain,
     from one kernel call over the m - 1 segments and the cut's partial one."""
     rows = np.arange(hs.shape[0])
-    ts = np.broadcast_to(ts, hs.shape)
-    i = (ts[:, 1:-1] <= cut[:, None]).sum(axis=1)  # the segment holding the cut
-    t0, t1, h0, h1 = ts[rows, i], ts[rows, i + 1], hs[rows, i], hs[rows, i + 1]
+    if ts.ndim == 1:  # one abscissa row for the stack
+        i = ts[1:-1].searchsorted(cut, side="right")  # the segment holding the cut
+        t0, t1 = ts[i], ts[i + 1]
+    else:
+        i = (ts[:, 1:-1] <= cut[:, None]).sum(axis=1)
+        t0, t1 = ts[rows, i], ts[rows, i + 1]
+    h0, h1 = hs[rows, i], hs[rows, i + 1]
     hcut = h0 + (h1 - h0) / (t1 - t0) * (cut - t0)
-    ha, hb, dt = np.empty(hs.shape), np.empty(hs.shape), np.empty(hs.shape)  # last: [cut, t1]
-    ha[:, :-1], ha[:, -1] = hs[:, :-1], hcut
-    hb[:, :-1], hb[:, -1] = hs[:, 1:], h1
-    dt[:, :-1], dt[:, -1] = ts[:, 1:] - ts[:, :-1], t1 - cut
-    seg, _ = _segments(ha, hb, dt, e, False)
+    dt = np.empty(hs.shape)  # the last column is the cut's partial segment [cut, t1]
+    dt[:, :-1], dt[:, -1] = ts[..., 1:] - ts[..., :-1], t1 - cut
+    seg, _ = _segments(np.concatenate([hs[:, :-1], hcut[:, None]], axis=1),
+                       np.concatenate([hs[:, 1:], h1[:, None]], axis=1), dt, e, False)
     full, part = seg[:, :-1], seg[:, -1]
     return full.sum(axis=1), _right_of(full, i) + part
 
@@ -172,7 +184,7 @@ def _tail_ratios(ts, hs, alpha, beta):
     row is scaled to max 1 first."""
     hs = hs / hs.max(axis=1, keepdims=True)
     mass, moment, _ = _mass_moment(ts, hs, alpha)
-    cut = np.clip(moment / mass, ts[..., 0], ts[..., -1])
+    cut = np.minimum(np.maximum(moment / mass, ts[..., 0]), ts[..., -1])
     total, tail = _mass_tail(ts, hs, beta, cut)
     return tail / total, cut
 
@@ -180,6 +192,17 @@ def _tail_ratios(ts, hs, alpha, beta):
 # ---------------------------------------------------------------------------
 # profile types
 # ---------------------------------------------------------------------------
+
+def _check_breakpoints(ts, hs):
+    """Raise ProfileError unless the abscissas ts and ordinates hs, each (m,),
+    are finite, ts strictly increasing and hs non-negative."""
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(hs))):
+        raise ProfileError("breakpoints must be finite")
+    if np.any(np.diff(ts) <= 0.0):
+        raise ProfileError("abscissas must be strictly increasing")
+    if np.any(hs < 0.0):
+        raise ProfileError("ordinates must be non-negative")
+
 
 class ProfileKind:
     """Base of the profile kinds: each answers integrals(beta, lo, hi)."""
@@ -212,13 +235,8 @@ class PiecewiseLinear(ProfileKind):
         pts = np.asarray(breakpoints, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
             raise ProfileError("breakpoints must be an (m, 2) array with m >= 2")
-        if not np.all(np.isfinite(pts)):
-            raise ProfileError("breakpoints must be finite")
         ts, hs = pts[:, 0].copy(), pts[:, 1].copy()
-        if np.any(np.diff(ts) <= 0.0):
-            raise ProfileError("abscissas must be strictly increasing")
-        if np.any(hs < 0.0):
-            raise ProfileError("ordinates must be non-negative")
+        _check_breakpoints(ts, hs)
         ts.setflags(write=False)
         hs.setflags(write=False)
         self.ts = ts

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import functional_bound
-from .errors import ParameterError, check_count, check_exponent
-from .profiles import CONCAVITY_TOL, ConcaveProfile, _knot_chords, _tail_ratios
+from .errors import (DegenerateProfileError, ParameterError, ProfileError, check_count,
+                     check_exponent)
+from .profiles import (CONCAVITY_TOL, ConcaveProfile, _check_breakpoints, _knot_chords,
+                       _tail_ratios)
 
 _MIN_GAP = 1e-3  # minimum abscissa spacing in random profiles, relative to the domain
 _STEP_INIT, _STEP_FINAL = 0.3, 1e-4  # descent step, decayed geometrically over the budget
@@ -136,12 +138,25 @@ def _check_concave_rows(ts, hs):
 # ---------------------------------------------------------------------------
 
 def tail_ratio_grid(ts, hs, alpha, beta):
-    """Tail-mass ratio of the PL profile (ts, hs) without object overhead."""
+    """Tail-mass ratio of the PL profile (ts, hs) without object overhead.
+
+    It raises what tail_mass_ratio(PiecewiseLinear(...), alpha, beta) does:
+    ProfileError for breakpoints that are not m >= 2 finite pairs with
+    increasing abscissas and non-negative ordinates, DegenerateProfileError
+    for zero mass.
+    """
     check_exponent("alpha", alpha)
     check_exponent("beta", beta)
     ts = np.asarray(ts, dtype=float)
     hs = np.asarray(hs, dtype=float)
-    return float(_tail_ratios(ts, hs[None, :], alpha, beta)[0][0])
+    if ts.ndim != 1 or ts.shape != hs.shape or ts.size < 2:
+        raise ProfileError("ts and hs must be 1-D arrays of one length m >= 2")
+    _check_breakpoints(ts, hs)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero mass gives nan
+        ratio = float(_tail_ratios(ts, hs[None, :], alpha, beta)[0][0])
+    if not ratio >= 0.0:
+        raise DegenerateProfileError("zero total powered mass")
+    return ratio
 
 
 def _project_concave(ts, hs):
@@ -151,8 +166,8 @@ def _project_concave(ts, hs):
     Returns (rows, feasible); a row is infeasible when it comes out flat or
     with a zero inside.
     """
-    dt = np.diff(ts)
-    slopes = np.sort(np.diff(hs, axis=1) / dt, axis=1)[:, ::-1]
+    dt = ts[1:] - ts[:-1]
+    slopes = np.sort((hs[:, 1:] - hs[:, :-1]) / dt, axis=1)[:, ::-1]
     out = np.empty_like(hs)
     out[:, 0] = hs[:, 0]
     np.cumsum(slopes * dt, axis=1, out=out[:, 1:])
@@ -194,7 +209,7 @@ class SearchResult:
     accepted, rejected and infeasible count, per restart, the steps of its
     trajectory whose proposal lowered the ratio, did not, or was flat or zero
     inside after projection; they sum to the budget. rounds counts kernel
-    rounds: one projection call and at most one tail-ratio call each.
+    rounds: one projection call and one tail-ratio call each.
     """
 
     profile: ConcaveProfile
@@ -273,9 +288,10 @@ def minimize_tail_ratio(config):
 
     The moves never depend on the state, so each restart draws _BLOCK steps'
     moves at once (_draw_moves), and each kernel round evaluates every
-    unfinished restart's next _AHEAD proposals from its current state, as one
-    stack. A restart takes its first accepted proposal and discards the rest;
-    with none accepted it moves past all of them. Every trajectory, the trace
+    restart's next _AHEAD proposals from its current state, as one stack; the
+    rows of finished restarts and of infeasible proposals are not read. A
+    restart takes its first accepted proposal and discards the rest; with
+    none accepted it moves past all of them. Every trajectory, the trace
     (k, iteration, ratio) of accepted moves, restart by restart, and the best
     profile are bitwise those of one restart at a time, one step at a time.
 
@@ -320,10 +336,11 @@ def minimize_tail_ratio(config):
         col = cols[restart, at].ravel()
         prop[rows, col] = np.maximum(prop[rows, col] + moves[restart, at].ravel(), 0.0)
         proj, feasible = _project_concave(ts, prop)
+        if not feasible.all():  # a flat row would give 0 / 0; these rows are not read
+            proj[~feasible] = 1.0
         feasible = feasible.reshape(valid.shape) & valid
-        vals = np.full(valid.shape, np.inf)
-        if feasible.any():
-            vals[feasible] = _tail_ratios(ts, proj[feasible.ravel()], alpha, beta)[0]
+        ratios = _tail_ratios(ts, proj, alpha, beta)[0]
+        vals = np.where(feasible, ratios.reshape(valid.shape), np.inf)
         accept = vals < (cur - 1e-15)[:, None]
         hit = accept.any(axis=1)
         # the trajectory takes the first accepted proposal; the rest are not steps

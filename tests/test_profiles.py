@@ -10,6 +10,7 @@ import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -960,6 +961,49 @@ def test_object_path_exact_on_random_profiles():
         for alpha, beta in INTEGER_EXPONENTS:
             errors = _object_path_errors(prof.ts, 1.7 * prof.hs, alpha, beta)
             assert max(errors.values()) <= 1e-14, (k, alpha, beta, errors)
+
+
+def _integer_power_profiles():
+    """Seeded 12-breakpoint profiles, each with one nearly flat segment
+    (relative change 1e-8 to 1e-5); two in three have an end set to zero, so
+    a segment with d = +-1."""
+    out = []
+    for k in range(20):
+        prof = gl.random_concave([2828, k], 12, domain=(-0.5, 1.5) if k % 2 else (0.0, 1.0))
+        ts, hs = prof.ts.copy(), prof.hs.copy()
+        hs[0] = 0.0 if k % 3 else hs[0]
+        hs[-1] = 0.0 if k % 3 == 1 else hs[-1]
+        j = 1 + k % 9
+        hs[j + 1] = hs[j] * (1.0 + (-1) ** k * 10.0 ** -(5 + k % 4))
+        out.append((ts, hs))
+    return out
+
+
+def test_integer_powers_through_seven_are_exact_to_roundoff():
+    # at e = 1 ... 7 the kernel's midpoint series terminates and is exact
+    profiles = _integer_power_profiles()
+    for e in range(1, 8):
+        for ts, hs in profiles:
+            seg = gl.profiles._segments(hs[:-1], hs[1:], np.diff(ts), float(e), False)[0]
+            for i, got in enumerate(seg):
+                want = exact_integrals(ts[i:i + 2], hs[i:i + 2], e)[0]
+                assert abs(Fraction(got) - want) <= 4 * 2.0 ** -52 * want, (e, i, hs[i:i + 2])
+            h = gl.PiecewiseLinear(np.column_stack([ts, hs]))
+            want = float(exact_centroid(ts, hs, e))
+            assert abs(gl.alpha_centroid(h, e) - want) <= 4e-16 * (ts[-1] - ts[0]), (e, ts, hs)
+    for alpha, beta in ((1, 2), (3, 1), (2, 2), (1, 7), (3, 5), (5, 4), (7, 1), (6, 6)):
+        for ts, hs in profiles:
+            got = gl.tail_ratio_grid(ts, hs, alpha, beta)
+            assert abs(got - exact_tail_ratio(ts, hs, alpha, beta)) <= 5e-16, (alpha, beta, hs)
+
+
+def test_integer_power_eight_keeps_its_closed_form_contract():
+    for ts, hs in _integer_power_profiles():
+        h = gl.PiecewiseLinear(np.column_stack([ts, hs]))
+        assert abs(gl.alpha_centroid(h, 8) - float(exact_centroid(ts, hs, 8))) <= 1e-14
+        for alpha, beta in ((8, 1), (2, 8), (8, 8)):
+            got = gl.tail_ratio_grid(ts, hs, alpha, beta)
+            assert abs(got - exact_tail_ratio(ts, hs, alpha, beta)) <= 1e-14, (alpha, beta, hs)
 
 
 _seeds = st.integers(0, 2 ** 32 - 1)

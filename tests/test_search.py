@@ -12,7 +12,7 @@ from scipy.stats import ks_2samp
 import grunlab as gl
 import grunlab.search as search
 from conftest import exact_tail_ratio, project_concave_row, reference_minimize
-from grunlab.errors import ParameterError, ProfileError
+from grunlab.errors import DegenerateProfileError, ParameterError, ProfileError
 
 
 def test_random_concave_always_valid():
@@ -35,16 +35,37 @@ def test_random_concave_rejects_small_m():
         gl.random_concave(0, 2)
 
 
+@pytest.mark.parametrize("ts,hs,error", [
+    ([0.0, 0.5, 1.0], [0.2, math.nan, 0.3], ProfileError),        # NaN ordinate
+    ([0.0, 0.5, math.inf], [0.2, 1.0, 0.3], ProfileError),        # infinite abscissa
+    ([0.0, 1.0, 0.5], [0.2, 1.0, 0.3], ProfileError),             # unsorted abscissas
+    ([0.0, 0.5, 1.0], [0.2, -0.1, 0.3], ProfileError),            # negative ordinate
+    ([0.0, 0.5, 1.0], [0.2, 0.3], ProfileError),                  # mismatched lengths
+    ([0.0], [1.0], ProfileError),                                 # a single point
+    ([0.0, 0.5, 1.0], [[0.2, 1.0, 0.3]], ProfileError),           # 2-D ordinates
+    ([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], DegenerateProfileError),   # zero mass
+], ids=["nan", "inf", "unsorted", "negative", "lengths", "one-point", "2-d", "zero"])
+def test_tail_ratio_grid_raises_what_the_object_path_raises(ts, hs, error):
+    with pytest.raises(error):
+        gl.tail_ratio_grid(ts, hs, 1.0, 2.0)
+    if np.shape(ts) == np.shape(hs):
+        with pytest.raises(error):
+            gl.tail_mass_ratio(gl.PiecewiseLinear(np.column_stack([ts, hs])), 1.0, 2.0)
+
+
 def test_tail_ratio_grid_matches_object_path():
     # both paths make the same kernel calls, so they agree bitwise
     for k in range(10):
         prof = gl.random_concave(k, 8)
-        for alpha, beta in ((1.3, 2.1), (0.0, 1.0), (2.0, 0.0)):
+        for alpha, beta in ((1.3, 2.1), (0.0, 1.0), (2.0, 0.0), (1.0, 2.0)):
             fast = gl.tail_ratio_grid(prof.ts, prof.hs, alpha, beta)
             assert fast == gl.tail_mass_ratio(prof, alpha, beta)
             scaled = gl.ConcaveProfile(np.column_stack([prof.ts, 3.7 * prof.hs]))
             assert gl.tail_mass_ratio(scaled, alpha, beta) == gl.tail_ratio_grid(
                 scaled.ts, scaled.hs, alpha, beta)
+            bumped = gl.PiecewiseLinear(np.column_stack([prof.ts, prof.hs ** (np.arange(8) % 3)]))
+            assert gl.tail_mass_ratio(bumped, alpha, beta) == gl.tail_ratio_grid(
+                bumped.ts, bumped.hs, alpha, beta)  # not concave, the same bits
 
 
 def test_search_deterministic_and_nonnegative_gap():
@@ -178,11 +199,14 @@ def test_tail_ratio_grid_exact_on_random_profiles():
             assert abs(got - exact_tail_ratio(prof.ts, prof.hs, alpha, beta)) <= 1e-14
 
 
+# integer powers take the terminating series, others the closed form as well
+_powers = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 5.0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 12),
        m=st.integers(3, 30),
-       alpha=st.floats(0.0, 5.0), beta=st.floats(0.0, 5.0),
-       flatten=st.integers(0, 12))
+       alpha=_powers, beta=_powers, flatten=st.integers(0, 12))
 def test_stacked_rows_match_single_rows_bitwise(seed, rows, m, alpha, beta, flatten):
     ts, hs = search._random_stack(np.random.default_rng(seed), rows, m)
     if flatten:  # make one segment of every row nearly flat
@@ -505,9 +529,38 @@ def test_search_counts_infeasible_proposals(monkeypatch):
     assert min(res.infeasible) > 0
 
 
+class _CountingNumpy:
+    """numpy with its log1p and expm1 calls counted."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if name not in ("log1p", "expm1"):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls.append(name)
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_integer_powers_take_no_logarithm_or_exponential(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gl.profiles, "np", _CountingNumpy(calls))
+    ts, hs = search._random_stack(np.random.default_rng(9), 5, 10)
+    for alpha, beta in ((1.0, 2.0), (3.0, 1.0)):
+        search._tail_ratios(ts, hs, alpha, beta)
+        search._tail_ratios(ts[0], hs, alpha, beta)
+    assert calls == []
+    search._tail_ratios(ts, hs, 0.5, 2.0)
+    assert "log1p" in calls and "expm1" in calls
+
+
 def test_workload_search_makes_at_most_32_kernel_calls(monkeypatch):
-    # one call for the initial ratios, then one per round with a feasible
-    # proposal; one proposal per step made 51
+    # one call for the initial ratios, then one per round; one proposal per
+    # step made 51
     calls = []
     kernel = search._tail_ratios
 
