@@ -1002,13 +1002,14 @@ def centroid(body):
 def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
     """Halfspace-mass bound at the r-powered centroid for a p-concave profile.
 
-    Reports min(lower, upper) side against the sharp constant. The hypothesis,
-    p-concavity of the section profile, is Brunn's principle for every convex
-    body in R^n at p <= 1/(n - 1) (Gardner, "The Brunn-Minkowski inequality",
-    Bull. AMS 39, 2002), so no number checks it there. Above that bound the
-    exact route certifies it and raises PreconditionError naming the witness;
-    the sampled route has no sound certificate and raises PreconditionError
-    before it draws.
+    Reports min(lower, upper) side against the sharp constant. r = 0 cuts at
+    the support midpoint on both routes (sampled, at r_centroid_point's). The
+    hypothesis, p-concavity of the section profile, is Brunn's principle for
+    every convex body in R^n at p <= 1/(n - 1) (Gardner, "The Brunn-Minkowski
+    inequality", Bull. AMS 39, 2002), so no number checks it there. Above
+    that bound the exact route certifies it and raises PreconditionError
+    naming the witness; the sampled route has no sound certificate and
+    raises PreconditionError before it draws.
     """
     bound = grunbaum_r_bound(p, r)
     tol = check_tolerance(tol)
@@ -1026,7 +1027,7 @@ def verify_grunbaum_r(body, u, p, r, mc=None, tol=1e-9):
             f"a sampled verdict needs p <= 1/(n - 1) = {1.0 / (n - 1):g}, Brunn's bound for a "
             f"convex body in R^{n}; p = {p:g} has no sound sampled certificate")
     else:
-        cut = float(alpha_centroid(_ratio_profile(body, u, mc), r))
+        cut = r_centroid_point(body, u, r, mc)
         est = mc_halfspace_fraction(body, u, cut, mc)
         lower, sigma = est.value, est.sigma
         upper = 1.0 - lower

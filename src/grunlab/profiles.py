@@ -17,14 +17,15 @@ beta = 0 integrates the indicator of {h > 0}: integrals(beta, lo, hi) gives
 (mass, moment, top), the integrals of (h / top)^beta and t (h / top)^beta
 on lo < hi, and tails(beta, cuts) gives (masses, top), those of
 (h / top)^beta right of each cut. Piecewise-linear tails take the extremal
-search's formula (_right_of); the other kinds share a default built on
-integrals. The operations read every kind, at its innermost base, through
-these two queries alone. Ratios and centroids read the scaled integrals, so
-they do not change when h is scaled by a power of 2 and stay in range at
-every beta; absolute integrals multiply by top^beta once, and raise
-FloatRangeError when that leaves the float range. Profiles are immutable
-and operations pure; a piecewise-linear profile keeps a bounded memo of its
-kernel passes by power and (power, cut), bit for bit equal to fresh ones.
+search's formula, suffix sums of segment masses (_suffix); the other kinds
+share a default built on integrals. The operations read every kind, at its
+innermost base, through these two queries alone. Ratios and centroids read
+the scaled integrals, so they do not change when h is scaled by a power of
+2 and stay in range at every beta; absolute integrals multiply by top^beta
+once, and raise FloatRangeError when that leaves the float range. Profiles
+are immutable and operations pure; a piecewise-linear profile keeps a
+bounded memo of its kernel passes by power and (power, cut), bit for bit
+equal to fresh ones.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ _R_MAX = 1.0 - 2.0 ** -53  # keeps log1p finite on segments that reach zero
 # Keys (powers and (power, cut) pairs) a piecewise-linear profile keeps
 # integrals for; the oldest is dropped first.
 _MEMO_KEYS = 32
-_TAIL_BLOCK = 1 << 14  # numbers per block of a piecewise-linear tails pass
+_TAIL_BLOCK = 1 << 14  # cuts per kernel call for a piecewise-linear profile's partial segments
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +154,11 @@ def _mass_moment(ts, hs, e):
     return mass.sum(axis=1), (mid * mass + centred).sum(axis=1), mass
 
 
-def _right_of(seg, i):
-    """Masked row sums of seg (B, m - 1) or (m - 1,) right of segments i (B,)."""
-    return np.where(np.arange(seg.shape[-1]) > i[:, None], seg, 0.0).sum(axis=1)
+def _suffix(seg):
+    """Suffix sums of segment masses seg (..., m - 1), summed from the right end:
+    entry k (..., m) is the mass right of breakpoint k, and the last is 0."""
+    zero = np.zeros(seg.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([zero, seg[..., ::-1]], axis=-1), axis=-1)[..., ::-1]
 
 
 def _mass_tail(ts, hs, e, cut):
@@ -174,8 +177,8 @@ def _mass_tail(ts, hs, e, cut):
     dt[:, :-1], dt[:, -1] = ts[..., 1:] - ts[..., :-1], t1 - cut
     seg, _ = _segments(np.concatenate([hs[:, :-1], hcut[:, None]], axis=1),
                        np.concatenate([hs[:, 1:], h1[:, None]], axis=1), dt, e, False)
-    full, part = seg[:, :-1], seg[:, -1]
-    return full.sum(axis=1), _right_of(full, i) + part
+    full = seg[:, :-1]
+    return full.sum(axis=1), _suffix(full)[rows, i + 1] + seg[:, -1]
 
 
 def _tail_ratios(ts, hs, alpha, beta):
@@ -226,9 +229,9 @@ class PiecewiseLinear(ProfileKind):
     concave profiles.
 
     The profile keeps what the segment kernel gave for its last _MEMO_KEYS
-    keys: per power, the segment masses, mass and moment over the domain;
-    per (power, cut), the tail masses. Every reader gets the same bits as
-    from a fresh computation.
+    keys: per power, the suffix sums of the segment masses (_suffix), mass
+    and moment over the domain; per (power, cut), the tail masses. Every
+    reader gets the same bits as from a fresh computation.
     """
 
     def __init__(self, breakpoints):
@@ -274,34 +277,30 @@ class PiecewiseLinear(ProfileKind):
         return entry
 
     def _powered(self, beta):
-        """(segment masses, mass, moment) of (h / top)^beta over the domain,
-        from one kernel call per power. The moment is not range-checked."""
+        """(_suffix of the segment masses, mass, moment) of (h / top)^beta over the
+        domain, from one kernel call per power. The moment is not range-checked."""
         beta = float(beta)
         entry = self._memo.get(beta)
         if entry is None:
             with np.errstate(over="ignore", invalid="ignore"):  # readers check what they read
                 mass, moment, seg = _mass_moment(self.ts, self._unit[None], beta)
-            seg = seg[0]
-            seg.setflags(write=False)
-            entry = self._remember(beta, (seg, mass[0], moment[0]))
+            right = _suffix(seg[0])
+            right.setflags(write=False)
+            entry = self._remember(beta, (right, mass[0], moment[0]))
         return entry
 
     def tails(self, beta, cuts):
-        """The tail masses of _mass_tail from the memo's segment masses, with _right_of
-        once per distinct segment holding a cut; each pass in blocks of _TAIL_BLOCK.
+        """The tail masses of _mass_tail: the memo's suffix mass right of the segment
+        holding each cut plus the cut's partial segment, in blocks of _TAIL_BLOCK cuts.
         One cut's are kept per (power, cut); a grid's are not, as they grow with it."""
         beta = float(beta)
         key = (beta, float(cuts[0])) if len(cuts) == 1 else None
         entry = self._memo.get(key)
         if entry is None:
             cuts, ts, hs = np.asarray(cuts, dtype=float), self.ts, self._unit
-            seg = self._powered(beta)[0]
+            right = self._powered(beta)[0]
             i = ts[1:-1].searchsorted(cuts, side="right")  # the segment holding each cut
-            rows = np.bincount(i, minlength=seg.size).nonzero()[0]  # the distinct ones
-            right, step = np.empty(rows.size), max(1, _TAIL_BLOCK // seg.size)
-            for j in range(0, rows.size, step):
-                right[j:j + step] = _right_of(seg, rows[j:j + step])
-            entry = right[rows.searchsorted(i)]
+            entry = right[i + 1]
             for j in range(0, cuts.size, _TAIL_BLOCK):
                 s, k = cuts[j:j + _TAIL_BLOCK], i[j:j + _TAIL_BLOCK]
                 hcut = hs[k] + (hs[k + 1] - hs[k]) / (ts[k + 1] - ts[k]) * (s - ts[k])
@@ -1005,8 +1004,7 @@ def tail_masses(h, beta, cuts):
     Cuts at or beyond b give 0. beta = 0 gives the length of {h > 0} right
     of each cut. Every kind answers from its tails query at one scale; for a
     piecewise-linear profile that is the formula of tail_ratio_grid: the
-    masked row sum of the segments right of each cut plus its partial
-    segment.
+    suffix sum of the segments right of each cut plus its partial segment.
     """
     check_exponent("beta", beta)
     a, b = h.domain

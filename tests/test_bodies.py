@@ -590,6 +590,19 @@ def test_mc_section_profile_and_grunbaum(cone3):
     assert rep.provenance["seed"] == 99
 
 
+def test_sampled_grunbaum_r_at_zero_cuts_at_the_support_midpoint():
+    # the 0-centroid of the binned shares is the centre of the non-empty
+    # bins (0.311 here), not the midpoint of the exact route and the bound
+    body = gl.Simplex(np.vstack([np.zeros(3), np.eye(3)]))
+    u = np.ones(3) / math.sqrt(3.0)
+    rep = gl.verify_grunbaum_r(body, u, 0.5, 0.0, mc=gl.McSpec(seed=3, samples=2 ** 16))
+    a, b = gl.support_interval(body, u)
+    assert rep.details["cut"] == 0.5 * (a + b) == gl.r_centroid_point(body, u, 0.0)
+    exact = gl.verify_grunbaum_r(body, u, 0.5, 0.0)
+    assert exact.details["lower_fraction"] == pytest.approx(1.0 / 8.0, rel=1e-12)  # equality
+    assert abs(rep.details["lower_fraction"] - 1.0 / 8.0) <= 4.0 * rep.provenance["sigma"]
+
+
 def test_high_dimensional_polytopes_exact_equals_mc():
     simplex4 = gl.Simplex(np.vstack([np.zeros(4), np.eye(4)]))
     u = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)  # tied vertex projections

@@ -1132,15 +1132,34 @@ def test_powered_split_and_tail_masses_agree_bitwise_on_random_profiles():
 
 
 def test_piecewise_linear_tails_in_blocks_are_the_search_formula(monkeypatch):
-    monkeypatch.setattr(gl.profiles, "_TAIL_BLOCK", 64)  # blocks of one row, of 64 cuts
+    monkeypatch.setattr(gl.profiles, "_TAIL_BLOCK", 64)  # blocks of 64 cuts
     h = gl.random_concave(5, 100)
     a, b = h.domain
     cuts = np.concatenate([np.random.default_rng(1).uniform(a, b, 300), h.ts, [a, b]])
-    rows = np.broadcast_to(h._unit, (cuts.size, h.ts.size))
-    for beta in (0.0, 0.5, 1.5, 3.0):
-        tails, top = h.tails(beta, cuts)
-        assert top == h.max_value()
-        assert np.array_equal(tails, gl.profiles._mass_tail(h.ts, rows, beta, cuts)[1])
+    one = gl.PiecewiseLinear([[0.2, 1.3], [0.9, 0.4]])  # a single segment
+    spans = np.concatenate([np.random.default_rng(2).uniform(0.2, 0.9, 100), [0.2, 0.9]])
+    for h, cuts in ((h, cuts), (one, spans), (h, np.empty(0))):
+        rows = np.broadcast_to(h._unit, (cuts.size, h.ts.size))
+        for beta in (0.0, 0.5, 1.5, 3.0):
+            tails, top = h.tails(beta, cuts)
+            assert top == h.max_value()
+            assert np.array_equal(tails, gl.profiles._mass_tail(h.ts, rows, beta, cuts)[1])
+
+
+def test_tails_on_a_thousand_breakpoints_match_exact_rationals():
+    # a suffix of k positive terms summed in order errs by about k ulps at most
+    for seed in range(3):
+        h = gl.random_concave(seed, 1000)
+        a, b = h.domain
+        cuts = np.concatenate([[a, 0.5 * (h.ts[0] + h.ts[1])],
+                               np.random.default_rng(seed).uniform(a, b, 6)])
+        for beta in (1, 2, 3):
+            seg = [exact_integrals(h.ts[j:j + 2], h.hs[j:j + 2], beta)[0] for j in range(999)]
+            right = np.append(np.cumsum(seg[::-1])[::-1], 0)  # exact, in Fractions
+            for cut, value in zip(cuts, gl.tail_masses(h, beta, cuts)):
+                i = h.ts[1:-1].searchsorted(cut, side="right")
+                want = right[i + 1] + exact_integrals(h.ts[i:i + 2], h.hs[i:i + 2], beta, cut)[0]
+                assert abs(Fraction(value) - want) <= 1e-14 * want, (seed, beta, cut)
 
 
 def test_many_cuts_keep_tail_masses_in_bounded_memory():
